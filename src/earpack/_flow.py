@@ -1,5 +1,6 @@
-"""Unit-capacity max-flow (Dinic) plus the undirected helpers used for edge
-cuts, Menger-style disjoint path counts and flow-path extraction."""
+"""Max-flow networks: a reusable unit-capacity cut network that answers every
+minimum edge cut between vertex sets, and Dinic's algorithm behind the
+Menger-style disjoint path count and flow-path extraction."""
 
 from __future__ import annotations
 
@@ -30,17 +31,6 @@ class Dinic:
         self.cap.append(0)
         return idx
 
-    def add_undirected(self, u: int, v: int) -> int:
-        """Add a unit-capacity undirected edge (capacity 1 each way)."""
-        idx = len(self.to)
-        self.head[u].append(idx)
-        self.to.append(v)
-        self.cap.append(1)
-        self.head[v].append(idx + 1)
-        self.to.append(u)
-        self.cap.append(1)
-        return idx
-
     def max_flow(self, s: int, t: int, cutoff: float | None = None) -> int:
         """Total flow from s to t; stops early once ``cutoff`` is reached."""
         flow = 0
@@ -50,7 +40,7 @@ class Dinic:
                 break
             it = [0] * self.n
             while True:
-                pushed = self._dfs(s, t, float("inf"), level, it)
+                pushed = self._augment(s, t, level, it)
                 if not pushed:
                     break
                 flow += pushed
@@ -73,71 +63,113 @@ class Dinic:
                     queue.append(w)
         return level
 
-    def _dfs(self, v: int, t: int, limit: float, level: list[int], it: list[int]) -> int:
-        if v == t:
-            return int(limit)
-        while it[v] < len(self.head[v]):
-            idx = self.head[v][it[v]]
-            w = self.to[idx]
-            if self.cap[idx] > 0 and level[w] == level[v] + 1:
-                pushed = self._dfs(w, t, min(limit, self.cap[idx]), level, it)
-                if pushed:
-                    self.cap[idx] -= pushed
-                    self.cap[idx ^ 1] += pushed
-                    return pushed
-            it[v] += 1
-        return 0
-
-    def residual_side(self, s: int) -> frozenset[int]:
-        """Vertices reachable from s in the residual network."""
-        seen = {s}
-        queue = [s]
-        head = 0
-        while head < len(queue):
-            v = queue[head]
-            head += 1
-            for idx in self.head[v]:
-                w = self.to[idx]
-                if self.cap[idx] > 0 and w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-        return frozenset(seen)
+    def _augment(self, s: int, t: int, level: list[int], it: list[int]) -> int:
+        """Push one blocking-flow path from s to t (iterative DFS over the
+        level graph, advancing ``it`` past dead arcs); returns the amount."""
+        path: list[int] = []  # arcs from s to v
+        v = s
+        while v != t:
+            arcs = self.head[v]
+            while it[v] < len(arcs):
+                idx = arcs[it[v]]
+                if self.cap[idx] > 0 and level[self.to[idx]] == level[v] + 1:
+                    break
+                it[v] += 1
+            else:
+                if not path:
+                    return 0
+                v = self.to[path.pop() ^ 1]  # retreat; that arc is dead
+                it[v] += 1
+                continue
+            path.append(idx)
+            v = self.to[idx]
+        pushed = min(self.cap[idx] for idx in path)
+        for idx in path:
+            self.cap[idx] -= pushed
+            self.cap[idx ^ 1] += pushed
+        return pushed
 
 
-def min_edge_cut(
-    g: Graph,
-    sources: frozenset[int] | set[int],
-    sinks: frozenset[int] | set[int],
-    cutoff: float | None = None,
-) -> tuple[int, frozenset[Edge], frozenset[int]]:
-    """Minimum number of edges separating ``sources`` from ``sinks``.
+class CutNetwork:
+    """Unit-capacity residual network of one undirected graph, for min cuts.
 
-    Returns (size, cut edge set, source-side vertex set).  With ``cutoff``
-    the flow stops once it reaches the cutoff; the returned size is then a
-    lower bound and the cut fields are not meaningful.
+    Built once per graph; every cut works on a copy of the base capacity
+    list, so one network serves any number of terminal pairs.  Edge {u, v}
+    is the arc pair (a, a ^ 1), each of capacity 1.
     """
-    if not sources or not sinks:
-        raise ValueError("terminal sets must be nonempty")
-    if set(sources) & set(sinks):
-        raise ValueError("terminal sets must be disjoint")
-    net = Dinic(g.n + 2)
-    s, t = g.n, g.n + 1
-    big = g.edge_count + 1
-    arcs: list[tuple[int, Edge]] = []
-    for u, v in g.edges():
-        arcs.append((net.add_undirected(u, v), (u, v)))
-    for x in sorted(sources):
-        net.add_arc(s, x, big)
-    for y in sorted(sinks):
-        net.add_arc(y, t, big)
-    value = net.max_flow(s, t, cutoff=cutoff)
-    if cutoff is not None and value >= cutoff:
-        return value, frozenset(), frozenset()
-    side = net.residual_side(s) - {s}
-    cut = frozenset(
-        edge_key(u, v) for u, v in g.edges() if (u in side) != (v in side)
-    )
-    return value, cut, frozenset(v for v in side if v < g.n)
+
+    def __init__(self, g: Graph):
+        self.n = g.n
+        self.edges = g.edges()
+        out: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
+        tail: list[int] = []
+        for u, v in self.edges:
+            out[u].append((len(tail), v))
+            tail.append(u)
+            out[v].append((len(tail), u))
+            tail.append(v)
+        self.out = tuple(tuple(arcs) for arcs in out)
+        self.tail = tail
+        self.base = [1] * len(tail)
+
+    def min_cut(
+        self, sources, sinks, cutoff: float | None = None
+    ) -> tuple[int, frozenset[Edge], frozenset[int]]:
+        """Minimum number of edges separating ``sources`` from ``sinks``.
+
+        Returns (size, cut edge set, source-side vertex set).  The source
+        side is everything reachable from the sources in the final residual
+        network: the unique minimal source side of a minimum cut.  With
+        ``cutoff`` the flow stops once it reaches the cutoff; the returned
+        size is then a lower bound and the cut fields are empty.
+        """
+        n = self.n
+        sources = list(sources)
+        sinks = list(sinks)
+        if not sources or not sinks:
+            raise ValueError("terminal sets must be nonempty")
+        if not all(0 <= v < n for v in sources + sinks):
+            raise ValueError("terminal vertex out of range")
+        is_sink = bytearray(n)
+        for y in sinks:
+            is_sink[y] = 1
+        if any(is_sink[x] for x in sources):
+            raise ValueError("terminal sets must be disjoint")
+        out, tail = self.out, self.tail
+        cap = self.base.copy()
+        flow = 0
+        while cutoff is None or flow < cutoff:
+            # BFS from the whole source set for a shortest augmenting path
+            via = [-2] * n  # arc that reached v; -1 at a source; -2 unseen
+            queue = []
+            for x in sources:
+                if via[x] == -2:
+                    via[x] = -1
+                    queue.append(x)
+            hit = -1
+            for v in queue:
+                for a, w in out[v]:
+                    if cap[a] and via[w] == -2:
+                        via[w] = a
+                        if is_sink[w]:
+                            hit = w
+                            break
+                        queue.append(w)
+                if hit >= 0:
+                    break
+            if hit < 0:
+                side = frozenset(queue)
+                cut = frozenset(
+                    (u, v) for u, v in self.edges if (u in side) != (v in side)
+                )
+                return flow, cut, side
+            a = via[hit]
+            while a >= 0:
+                cap[a] -= 1
+                cap[a ^ 1] += 1
+                a = via[tail[a]]
+            flow += 1
+        return flow, frozenset(), frozenset()
 
 
 def edge_disjoint_paths(

@@ -96,24 +96,30 @@ def prism_graph(n: int = 3) -> Graph:
 def random_bipartite_regular(side: int, r: int, seed: int, tries: int = 400) -> Graph:
     """Union of r random perfect matchings between two sides of equal size.
 
-    Each matching is resampled on its own until it avoids the previous
-    ones, so dense cases stay feasible.
+    Each matching is resampled on its own, up to ``tries`` times, until it
+    avoids the previous ones, so dense cases stay feasible.  When one cannot
+    be placed (the remainder may admit very few matchings), the whole
+    sample starts over from the current random state.
     """
     if r > side:
         raise ValueError("degree cannot exceed the side size")
+    if tries < 1:
+        raise ValueError("tries must be positive")
     rng = random.Random(seed)
-    edges: set[tuple[int, int]] = set()
-    for _ in range(r):
-        for attempt in range(tries):
-            perm = list(range(side))
-            rng.shuffle(perm)
-            batch = [(i, side + p) for i, p in enumerate(perm)]
-            if all(e not in edges for e in batch):
-                edges.update(batch)
+    while True:
+        edges: set[tuple[int, int]] = set()
+        for _ in range(r):
+            for attempt in range(tries):
+                perm = list(range(side))
+                rng.shuffle(perm)
+                batch = [(i, side + p) for i, p in enumerate(perm)]
+                if all(e not in edges for e in batch):
+                    edges.update(batch)
+                    break
+            else:
                 break
         else:
-            raise RuntimeError("could not sample a simple bipartite regular graph")
-    return Graph(2 * side, edges)
+            return Graph(2 * side, edges)
 
 
 # ---------------------------------------------------------------------------

@@ -4,19 +4,31 @@ A minimum cyclic edge cut always separates two vertex-disjoint chordless
 cycles (a shortest cycle inside either side has no chord), so the exact
 value is the minimum, over vertex-disjoint chordless cycle pairs, of the
 minimum edge cut between the two contracted cycles.  For the odd variant
-the first cycle of the pair ranges over odd chordless cycles only.
+the first cycle of the pair ranges over odd chordless cycles only, and a
+bipartite graph, having no odd cycle, is infinite without a search.
+
+The search enumerates the chordless cycles once (a bitmask DFS in
+``graphs.chordless_cycles``) and keeps each as a vertex tuple plus an
+integer vertex mask, so a pair's disjointness is one ``&``.  Every pair cut
+runs on one unit-capacity ``CutNetwork`` built for the graph and reused
+(``min_cut_between`` caches the last graph's network); the cut starts from
+the whole first cycle, stops at the best value so far, and returns the
+minimal source side, so certificates are deterministic.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from functools import lru_cache
 
-from ._flow import min_edge_cut
+from ._flow import CutNetwork
 from .budget import DEFAULT_BUDGET, SearchBudget
 from .graphs import (
     INF,
     Edge,
     Graph,
+    bipartition,
     boundary_edges,
     chordless_cycles,
     connected_components,
@@ -89,9 +101,17 @@ def min_cut_between(
     """Minimum edge cut separating vertex sets X and Y (Menger).
 
     Returns (size, cut edges, source-side vertices); size 0 with an empty
-    cut when the sets lie in different components.
+    cut when the sets lie in different components.  The source side is the
+    unique minimal one.  With ``cutoff`` the flow stops once it reaches the
+    cutoff, and a size at the cutoff comes with empty cut fields.
     """
-    return min_edge_cut(g, frozenset(X), frozenset(Y), cutoff=cutoff)
+    return _cut_network(g).min_cut(X, Y, cutoff=cutoff)
+
+
+@lru_cache(maxsize=1)
+def _cut_network(g: Graph) -> CutNetwork:
+    """The cut network of the graph the pair search is working on."""
+    return CutNetwork(g)
 
 
 def cyclic_edge_connectivity(g: Graph, budget: SearchBudget = DEFAULT_BUDGET) -> ConnectivityValue:
@@ -100,7 +120,13 @@ def cyclic_edge_connectivity(g: Graph, budget: SearchBudget = DEFAULT_BUDGET) ->
 
 
 def odd_cyclic_edge_connectivity(g: Graph, budget: SearchBudget = DEFAULT_BUDGET) -> ConnectivityValue:
-    """Exact odd-cyclic edge connectivity (one side must hold an odd cycle)."""
+    """Exact odd-cyclic edge connectivity (one side must hold an odd cycle).
+
+    A bipartite graph has no odd cycle, hence no odd-cyclic cut: infinite,
+    with no search.
+    """
+    if bipartition(g) is not None:
+        return ConnectivityValue(INF)
     return _lambda_search(g, budget, odd=True)
 
 
@@ -112,51 +138,60 @@ def _lambda_search(g: Graph, budget: SearchBudget, odd: bool) -> ConnectivityVal
     if found.truncated:
         # exactness is already lost; refine the upper bound on a short prefix
         cycles = cycles[:300]
-    sets = [frozenset(c) for c in cycles]
+    bits = [1 << v for v in range(g.n)]
+    masks = [sum(map(bits.__getitem__, c)) for c in cycles]
     is_odd = [len(c) % 2 == 1 for c in cycles]
 
     best: float = INF
     best_cert: CutCertificate | None = None
 
     # seed with single-cycle boundaries: E(V(C), rest) is itself a valid cut
-    # whenever the complement still contains a cycle
+    # whenever the complement still contains a cycle.  A chordless cycle
+    # spans exactly len(C) edges, so its boundary has sum(deg) - 2 len(C)
+    degree = [len(a) for a in g.adjacency]
     for i, cyc in enumerate(cycles):
         if odd and not is_odd[i]:
             continue
-        rest = frozenset(range(g.n)) - sets[i]
-        bd = boundary_edges(g, sets[i])
-        if len(bd) >= best:
+        if sum(map(degree.__getitem__, cyc)) - 2 * len(cyc) >= best:
             continue
+        inside = frozenset(cyc)
+        rest = frozenset(range(g.n)) - inside
         if not has_cycle_within(g, rest):
             continue
-        witness = _any_cycle_within(g, rest)
+        bd = boundary_edges(g, inside)
         best = len(bd)
         best_cert = CutCertificate(
             F=bd,
-            side_a=sets[i],
+            side_a=inside,
             side_b=rest,
             cycle_a=cyc,
-            cycle_b=witness,
+            cycle_b=_any_cycle_within(g, rest),
             odd_flag=is_odd[i],
         )
 
+    # pairs (i, j): i ranges over the odd cycles for lambda_oc; every pair is
+    # counted against the cap, overlapping ones too
+    even = [j for j in range(len(cycles)) if not is_odd[j]]
     pair_count = 0
     capped = False
     for i in range(len(cycles)):
         if odd and not is_odd[i]:
             continue
-        for j in range(len(cycles)):
-            if j == i or (not odd and j < i):
+        if odd:
+            # both odd: the pair was already tried as (j, i)
+            partners = even[: bisect_left(even, i)] + list(range(i + 1, len(cycles)))
+        else:
+            partners = range(i + 1, len(cycles))
+        room = budget.max_cut_pairs - pair_count
+        if len(partners) > room:
+            partners = partners[:room]
+            capped = True
+        pair_count += len(partners)
+        mask_i = masks[i]
+        for j in partners:
+            if mask_i & masks[j]:
                 continue
-            if odd and is_odd[j] and j < i:
-                continue  # both odd: the pair was already tried as (j, i)
-            pair_count += 1
-            if pair_count > budget.max_cut_pairs:
-                capped = True
-                break
-            if sets[i] & sets[j]:
-                continue
-            value, cut, side = min_cut_between(g, sets[i], sets[j], cutoff=best)
+            value, cut, side = min_cut_between(g, cycles[i], cycles[j], cutoff=best)
             if value < best:
                 best = value
                 best_cert = CutCertificate(

@@ -413,14 +413,15 @@ def chordless_cycles(
 
     Enumeration grows paths whose minimum vertex comes first and whose new
     vertex may only be adjacent to the path tail (and to the start when
-    closing), so every emitted cycle is chord-free by construction.  Stops
-    with ``truncated`` once ``cap`` cycles are found or after ``step_cap``
+    closing), so every emitted cycle is chord-free by construction.  Vertex
+    sets are integer bitmasks: a neighbour mask per vertex, and per path the
+    mask of vertices that no extension may use.  Stops with ``truncated`` once ``cap`` cycles are found or after ``step_cap``
     path extensions (the search itself can dwarf the output on big hosts).
     """
     limit = g.n if max_len is None else max_len
     if limit < 3:
         return CycleList((), False)
-    adj = [frozenset(a) for a in g.adjacency]
+    adjmask = [sum(1 << w for w in a) for a in g.adjacency]
     out: list[tuple[int, ...]] = []
     truncated = False
     steps = 0
@@ -428,36 +429,42 @@ def chordless_cycles(
     for s in range(g.n):
         if truncated:
             break
+        # vertices <= s are never used after s
+        low = (2 << s) - 1
+        near_s = adjmask[s]
         for a in g.adjacency[s]:
             if truncated:
                 break
             if a <= s:
                 continue
-            # DFS over paths s, a, ... using vertices > s only
-            stack: list[tuple[tuple[int, ...], frozenset[int]]] = [((s, a), frozenset((s, a)))]
+            # DFS over paths s, a, ... using vertices > s only.  ``blocked``
+            # masks the vertices no extension may use: those <= s, the path
+            # and the neighbours of its interior (a chord to w)
+            stack: list[tuple[tuple[int, ...], int]] = [((s, a), low | 1 << a)]
             while stack:
-                path, members = stack.pop()
+                path, blocked = stack.pop()
                 last = path[-1]
                 steps += 1
                 if steps > step_cap:
                     truncated = True
                     break
+                grow = len(path) + 1 < limit
+                # after w, `last` is interior: its neighbours (w among them)
+                # are blocked
+                grown = blocked | adjmask[last]
                 for w in g.adjacency[last]:
-                    if w <= s or w in members:
+                    if blocked >> w & 1:
                         continue
-                    # chordless: w may touch the path only at `last` (and s)
-                    if any(p in adj[w] for p in path[1:-1]):
-                        continue
-                    if s in adj[w]:
-                        if len(path) >= 2 and path[1] < w:
+                    if near_s >> w & 1:
+                        if path[1] < w:
                             out.append(path + (w,))
                             if len(out) >= cap:
                                 truncated = True
                                 break
                         # extending past w would leave the chord (w, s)
                         continue
-                    if len(path) + 1 < limit:
-                        stack.append((path + (w,), members | {w}))
+                    if grow:
+                        stack.append((path + (w,), grown))
                 if truncated:
                     break
     out.sort(key=lambda c: (len(c), c))

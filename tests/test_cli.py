@@ -6,6 +6,7 @@ import pytest
 from earpack.cli import main
 from earpack.graphs import serialize_graph
 from earpack.catalog import heawood_graph, petersen_graph
+from earpack.harness import random_regular
 
 
 @pytest.fixture()
@@ -118,6 +119,27 @@ class TestLambdaVerb:
         code, out, _ = run(capsys, ["lambda", heawood_file, "--odd"])
         assert code == 0 and json.loads(out)["value"] == "inf"
 
+    # output recorded before the cut network and the bitmask enumeration:
+    # one exact host whose cuts come from the pair loop, one capped host
+    @pytest.mark.parametrize(
+        "n, seed, budget, odd, code, expected",
+        [
+            (18, 12, None, False, 0, '{"F":[[0,7],[9,15],[14,16]],"cycle_a":[0,2,9,13],"cycle_b":[1,6,4,10],"odd":false,"schema":1,"side_a":[0,2,9,13,16],"value":3}'),
+            (18, 12, None, True, 0, '{"F":[[3,8],[4,12],[7,17]],"cycle_a":[1,6,8,5,10],"cycle_b":[0,2,9,13],"odd":true,"schema":1,"side_a":[1,4,5,6,8,10,17],"value":3}'),
+            (26, 8, "0.01", False, 2, '{"schema":1,"upper_bound":4,"value":null}'),
+            (26, 8, "0.01", True, 2, '{"schema":1,"upper_bound":4,"value":null}'),
+        ],
+    )
+    def test_pinned_output(self, capsys, monkeypatch, tmp_path, n, seed, budget, odd, code, expected):
+        path = tmp_path / "g.g6"
+        path.write_bytes(serialize_graph(random_regular(n, 3, seed=seed), "graph6") + b"\n")
+        if budget is None:
+            monkeypatch.delenv("EARPACK_BUDGET", raising=False)
+        else:
+            monkeypatch.setenv("EARPACK_BUDGET", budget)
+        got = run(capsys, ["lambda", str(path)] + (["--odd"] if odd else []))
+        assert got[:2] == (code, expected + "\n")
+
 
 class TestEars:
     def test_flow_route(self, capsys, heawood_file):
@@ -189,6 +211,15 @@ class TestSweepVerb:
         _, first, _ = run(capsys, argv)
         _, second, _ = run(capsys, argv)
         assert first == second
+
+    def test_odd_orders_are_skipped_and_counted(self, capsys):
+        code, out, err = run(
+            capsys, ["sweep", "--r", "4", "--n", "12..18", "--samples", "10", "--seed", "7"]
+        )
+        payload = json.loads(out)
+        assert code == 0 and err == ""
+        assert payload["odd_orders_skipped"] == 3 and payload["samples"] == 10
+        assert payload["inconsistent"] == 0
 
 
 class TestConvert:

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from earpack._flow import edge_disjoint_paths, max_vertex_disjoint_paths
 from earpack.budget import SearchBudget
 from earpack.connectivity import (
     InexactSearchError,
@@ -28,6 +29,7 @@ from earpack.catalog import (
     petersen_graph,
     prism_graph,
 )
+from earpack.constructions import smallest_counterexample
 from earpack.harness import random_regular
 
 from oracles import lambda_oracle
@@ -53,6 +55,50 @@ class TestMinCut:
         with pytest.raises(ValueError):
             min_cut_between(cycle_graph(4), {0}, {0, 2})
 
+    def test_rejects_empty_or_out_of_range(self):
+        for X, Y in (((), {1}), ({0}, ()), ({-1}, {1}), ({0}, {4})):
+            with pytest.raises(ValueError):
+                min_cut_between(cycle_graph(4), X, Y)
+
+    def test_long_host_has_no_recursion_limit(self):
+        # augmenting paths of about 1250 edges
+        size, cut, side = min_cut_between(prism_graph(2500), {0}, {1250})
+        assert size == 3 and cut == frozenset({(0, 1), (0, 2499), (0, 2500)})
+        assert side == frozenset({0})
+
+    def test_cutoff_stops_at_the_cutoff(self):
+        p = petersen_graph()
+        assert min_cut_between(p, set(range(5)), set(range(5, 10)), cutoff=3) == (
+            3,
+            frozenset(),
+            frozenset(),
+        )
+
+    def test_source_side_is_minimal(self):
+        # two minimum cuts of size 2 separate 0 from 3 on C6; the network
+        # returns the one closest to the sources
+        size, cut, side = min_cut_between(cycle_graph(6), {0}, {3})
+        assert size == 2 and side == frozenset({0})
+        assert cut == frozenset({(0, 1), (0, 5)})
+
+
+class TestPathFamiliesOnLongHosts:
+    def test_edge_disjoint_paths_on_a_long_path(self):
+        path = Graph(3000, [(i, i + 1) for i in range(2999)])
+        assert edge_disjoint_paths(path, {0}, {2999}) == [tuple(range(3000))]
+
+    def test_edge_disjoint_paths_on_a_long_prism(self):
+        g = prism_graph(2500)
+        paths = edge_disjoint_paths(g, {0}, {1250})
+        assert len(paths) == 3
+        assert all(p[0] == 0 and p[-1] == 1250 for p in paths)
+        edges = [tuple(sorted(e)) for p in paths for e in zip(p, p[1:])]
+        assert len(edges) == len(set(edges)) and all(g.has_edge(*e) for e in edges)
+
+    def test_vertex_disjoint_paths_on_a_long_prism(self):
+        g = prism_graph(2500)
+        assert max_vertex_disjoint_paths(g, {0, 2500}, {1250, 3750}) == 2
+
 
 class TestNamedValues:
     def test_petersen(self):
@@ -73,6 +119,20 @@ class TestNamedValues:
     def test_k4_infinite(self):
         g = Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
         assert cyclic_edge_connectivity(g).value == INF
+
+
+class TestBipartiteOddCyclic:
+    def test_counterexample_host_is_infinite_without_search(self):
+        g = smallest_counterexample().graph
+        assert g.n == 134 and bipartition(g) is not None
+        # a budget that could not finish any search
+        tiny = SearchBudget(max_cycles=1, max_cycle_steps=1, max_cut_pairs=1)
+        value = odd_cyclic_edge_connectivity(g, tiny)
+        assert value.value == INF and value.to_json_dict() == {"value": "inf"}
+
+    def test_even_prism(self):
+        value = odd_cyclic_edge_connectivity(prism_graph(24))
+        assert value.value == INF and value.certificate is None
 
 
 class TestCertificates:

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -23,8 +25,10 @@ from earpack.catalog import (
     cycle_graph,
     heawood_graph,
     petersen_graph,
+    prism_graph,
     tutte_coxeter_graph,
 )
+from earpack.harness import random_regular
 
 from oracles import encode_graph6_reference
 
@@ -188,6 +192,23 @@ class TestStructure:
 
     def test_chordless_tree_empty(self):
         assert chordless_cycles(Graph(4, [(0, 1), (1, 2), (1, 3)])).cycles == ()
+
+    # (count, truncated, digest of the cycle tuple) recorded before the
+    # bitmask enumeration: a capped run must stop at the same cycle
+    @pytest.mark.parametrize(
+        "make, caps, count, truncated, digest",
+        [
+            (lambda: random_regular(30, 3, seed=11), {"step_cap": 3000}, 226, True, "c89a95305cd2e6d5"),
+            (lambda: random_regular(34, 3, seed=2), {"step_cap": 20000}, 814, False, "fb9b3bbcbe0a561c"),
+            (lambda: prism_graph(10), {"cap": 40}, 40, True, "df85fbff171a433f"),
+            (lambda: random_regular(16, 4, seed=5), {"cap": 100}, 100, True, "930c41fe6eb6e8d0"),
+            (lambda: random_regular(26, 3, seed=3), {}, 116, False, "e4786383c1a6f77e"),
+        ],
+    )
+    def test_chordless_pinned(self, make, caps, count, truncated, digest):
+        found = chordless_cycles(make(), **caps)
+        assert (len(found.cycles), found.truncated) == (count, truncated)
+        assert hashlib.sha256(repr(found.cycles).encode()).hexdigest()[:16] == digest
 
     def test_chordless_cap_sets_flag(self):
         found = chordless_cycles(petersen_graph(), cap=3)

@@ -1,0 +1,74 @@
+"""networkx as an independent oracle for chordless cycles and min cuts
+(skipped when networkx is not installed)."""
+
+import random
+
+import pytest
+
+from earpack.connectivity import min_cut_between
+from earpack.graphs import chordless_cycles
+from earpack.harness import random_regular
+
+nx = pytest.importorskip("networkx")
+
+
+def to_nx(g):
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges())
+    return h
+
+
+def canonical(cycle) -> tuple[int, ...]:
+    """The rotation/reflection representative starting at the minimum vertex
+    and continuing to its smaller neighbour on the cycle."""
+    k = len(cycle)
+    i = cycle.index(min(cycle))
+    forward = tuple(cycle[(i + t) % k] for t in range(k))
+    backward = tuple(cycle[(i - t) % k] for t in range(k))
+    return min(forward, backward)
+
+
+def hosts():
+    for n in range(10, 35, 4):
+        for seed in (1, 2):
+            yield random_regular(n, 3, seed=1000 * n + seed)
+
+
+def test_chordless_cycles_match_networkx():
+    for g in hosts():
+        found = chordless_cycles(g)
+        assert not found.truncated
+        ours = [canonical(c) for c in found.cycles]
+        assert len(ours) == len(set(ours))
+        theirs = {canonical(c) for c in nx.chordless_cycles(to_nx(g))}
+        assert set(ours) == theirs, g.n
+
+
+def test_single_vertex_min_cuts_match_networkx():
+    rng = random.Random(3)
+    for g in hosts():
+        h = to_nx(g)
+        for _ in range(5):
+            s, t = rng.sample(range(g.n), 2)
+            size, cut, side = min_cut_between(g, {s}, {t})
+            assert size == len(nx.minimum_edge_cut(h, s, t)) == len(cut)
+            h.remove_edges_from(cut)
+            assert not nx.has_path(h, s, t)
+            h.add_edges_from(cut)
+
+
+def test_cycle_pair_min_cuts_match_networkx():
+    for g in hosts():
+        cycles = chordless_cycles(g).cycles
+        pairs = [(a, b) for a in cycles[:8] for b in cycles[-8:] if not set(a) & set(b)]
+        flow = nx.DiGraph()
+        for u, v in g.edges():
+            flow.add_edge(u, v, capacity=1)
+            flow.add_edge(v, u, capacity=1)
+        for a, b in pairs:
+            net = flow.copy()
+            net.add_edges_from(("s", x) for x in a)  # no capacity: unbounded
+            net.add_edges_from((y, "t") for y in b)
+            expected, _ = nx.minimum_cut(net, "s", "t")
+            assert min_cut_between(g, a, b)[0] == expected
