@@ -48,7 +48,6 @@ from .ears import (  # noqa: F401
     Ear,
     EarPacking,
     PackingResult,
-    bipartite_ear_packing,
     max_odd_ear_packing,
     validate_ear,
     verify_packing,

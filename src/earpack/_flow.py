@@ -1,133 +1,63 @@
-"""Max-flow networks: a reusable unit-capacity cut network that answers every
-minimum edge cut between vertex sets, and Dinic's algorithm behind the
-Menger-style disjoint path count and flow-path extraction."""
+"""Unit-capacity max flow: one residual network type and one augmenting-path
+loop behind every minimum edge cut, the edge-disjoint path family of the
+bipartite odd-ear packing, and the Menger-style vertex-disjoint path count.
+
+Arcs come in pairs (a, a ^ 1): arc a has capacity 1, and its partner has
+capacity ``back``, so back = 1 makes an undirected unit edge and back = 0 a
+directed unit arc.  Augmenting paths are shortest paths found by BFS from
+the whole source set; arcs are scanned in insertion order, so every result
+is deterministic.
+"""
 
 from __future__ import annotations
 
-from .graphs import Edge, Graph, edge_key
+from typing import Iterable
 
-
-class Dinic:
-    """Max flow on a directed network with integer capacities.
-
-    Arc insertion order is fixed by the caller, and the algorithm scans arcs
-    in that order, so results are deterministic.
-    """
-
-    def __init__(self, n: int):
-        self.n = n
-        self.head: list[list[int]] = [[] for _ in range(n)]
-        self.to: list[int] = []
-        self.cap: list[int] = []
-
-    def add_arc(self, u: int, v: int, cap: int) -> int:
-        """Add arc u->v with the given capacity; returns its index."""
-        idx = len(self.to)
-        self.head[u].append(idx)
-        self.to.append(v)
-        self.cap.append(cap)
-        self.head[v].append(idx + 1)
-        self.to.append(u)
-        self.cap.append(0)
-        return idx
-
-    def max_flow(self, s: int, t: int, cutoff: float | None = None) -> int:
-        """Total flow from s to t; stops early once ``cutoff`` is reached."""
-        flow = 0
-        while cutoff is None or flow < cutoff:
-            level = self._levels(s, t)
-            if level[t] < 0:
-                break
-            it = [0] * self.n
-            while True:
-                pushed = self._augment(s, t, level, it)
-                if not pushed:
-                    break
-                flow += pushed
-                if cutoff is not None and flow >= cutoff:
-                    break
-        return flow
-
-    def _levels(self, s: int, t: int) -> list[int]:
-        level = [-1] * self.n
-        level[s] = 0
-        queue = [s]
-        head = 0
-        while head < len(queue):
-            v = queue[head]
-            head += 1
-            for idx in self.head[v]:
-                w = self.to[idx]
-                if self.cap[idx] > 0 and level[w] < 0:
-                    level[w] = level[v] + 1
-                    queue.append(w)
-        return level
-
-    def _augment(self, s: int, t: int, level: list[int], it: list[int]) -> int:
-        """Push one blocking-flow path from s to t (iterative DFS over the
-        level graph, advancing ``it`` past dead arcs); returns the amount."""
-        path: list[int] = []  # arcs from s to v
-        v = s
-        while v != t:
-            arcs = self.head[v]
-            while it[v] < len(arcs):
-                idx = arcs[it[v]]
-                if self.cap[idx] > 0 and level[self.to[idx]] == level[v] + 1:
-                    break
-                it[v] += 1
-            else:
-                if not path:
-                    return 0
-                v = self.to[path.pop() ^ 1]  # retreat; that arc is dead
-                it[v] += 1
-                continue
-            path.append(idx)
-            v = self.to[idx]
-        pushed = min(self.cap[idx] for idx in path)
-        for idx in path:
-            self.cap[idx] -= pushed
-            self.cap[idx ^ 1] += pushed
-        return pushed
+from .graphs import Edge, Graph
 
 
 class CutNetwork:
-    """Unit-capacity residual network of one undirected graph, for min cuts.
+    """Unit-capacity residual network on ``n`` vertices.
 
-    Built once per graph; every cut works on a copy of the base capacity
-    list, so one network serves any number of terminal pairs.  Edge {u, v}
-    is the arc pair (a, a ^ 1), each of capacity 1.
+    Built once; every flow works on a copy of the base capacity list, so one
+    network serves any number of terminal pairs.  ``ends[i]`` is the (u, v)
+    of arc pair i, i.e. of arcs 2i (u -> v) and 2i + 1 (v -> u).
     """
 
-    def __init__(self, g: Graph):
-        self.n = g.n
-        self.edges = g.edges()
-        out: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
+    def __init__(self, n: int, arcs: Iterable[tuple[int, int, int]]):
+        out: list[list[tuple[int, int]]] = [[] for _ in range(n)]
         tail: list[int] = []
-        for u, v in self.edges:
+        base: list[int] = []
+        ends: list[Edge] = []
+        for u, v, back in arcs:
             out[u].append((len(tail), v))
-            tail.append(u)
-            out[v].append((len(tail), u))
-            tail.append(v)
-        self.out = tuple(tuple(arcs) for arcs in out)
+            out[v].append((len(tail) + 1, u))
+            tail += (u, v)
+            base += (1, back)
+            ends.append((u, v))
+        self.n = n
+        self.out = tuple(tuple(a) for a in out)
         self.tail = tail
-        self.base = [1] * len(tail)
+        self.base = base
+        self.ends = ends
 
-    def min_cut(
-        self, sources, sinks, cutoff: float | None = None
-    ) -> tuple[int, frozenset[Edge], frozenset[int]]:
-        """Minimum number of edges separating ``sources`` from ``sinks``.
+    @classmethod
+    def of(cls, g: Graph) -> "CutNetwork":
+        """The network of an undirected graph: arc pair i is edge i of
+        ``g.edges()``."""
+        return cls(g.n, ((u, v, 1) for u, v in g.edges()))
 
-        Returns (size, cut edge set, source-side vertex set).  The source
-        side is everything reachable from the sources in the final residual
-        network: the unique minimal source side of a minimum cut.  With
-        ``cutoff`` the flow stops once it reaches the cutoff; the returned
-        size is then a lower bound and the cut fields are empty.
+    def max_flow(
+        self, cap: list[int], sources: list[int], sinks: list[int], cutoff: float | None = None
+    ) -> tuple[int, list[int] | None]:
+        """Augment on ``cap`` in place until no path is left or the flow
+        reaches ``cutoff``.
+
+        Returns (flow, the vertices reachable from the sources in the final
+        residual network); the second field is None when the cutoff stopped
+        the flow.  Sinks are never passed through.
         """
         n = self.n
-        sources = list(sources)
-        sinks = list(sinks)
-        if not sources or not sinks:
-            raise ValueError("terminal sets must be nonempty")
         if not all(0 <= v < n for v in sources + sinks):
             raise ValueError("terminal vertex out of range")
         is_sink = bytearray(n)
@@ -136,7 +66,6 @@ class CutNetwork:
         if any(is_sink[x] for x in sources):
             raise ValueError("terminal sets must be disjoint")
         out, tail = self.out, self.tail
-        cap = self.base.copy()
         flow = 0
         while cutoff is None or flow < cutoff:
             # BFS from the whole source set for a shortest augmenting path
@@ -158,18 +87,36 @@ class CutNetwork:
                 if hit >= 0:
                     break
             if hit < 0:
-                side = frozenset(queue)
-                cut = frozenset(
-                    (u, v) for u, v in self.edges if (u in side) != (v in side)
-                )
-                return flow, cut, side
+                return flow, queue
             a = via[hit]
             while a >= 0:
                 cap[a] -= 1
                 cap[a ^ 1] += 1
                 a = via[tail[a]]
             flow += 1
-        return flow, frozenset(), frozenset()
+        return flow, None
+
+    def min_cut(
+        self, sources, sinks, cutoff: float | None = None
+    ) -> tuple[int, frozenset[Edge], frozenset[int]]:
+        """Minimum number of arc pairs separating ``sources`` from ``sinks``.
+
+        Returns (size, cut arc-pair ends, source-side vertex set).  The
+        source side is everything reachable from the sources in the final
+        residual network: the unique minimal source side of a minimum cut.
+        With ``cutoff`` the flow stops once it reaches the cutoff; the
+        returned size is then a lower bound and the cut fields are empty.
+        """
+        sources = list(sources)
+        sinks = list(sinks)
+        if not sources or not sinks:
+            raise ValueError("terminal sets must be nonempty")
+        flow, reached = self.max_flow(self.base.copy(), sources, sinks, cutoff)
+        if reached is None:
+            return flow, frozenset(), frozenset()
+        side = frozenset(reached)
+        cut = frozenset((u, v) for u, v in self.ends if (u in side) != (v in side))
+        return flow, cut, side
 
 
 def edge_disjoint_paths(
@@ -184,33 +131,17 @@ def edge_disjoint_paths(
     """
     if not sources or not sinks:
         return []
-    if set(sources) & set(sinks):
-        raise ValueError("terminal sets must be disjoint")
-    net = Dinic(g.n + 2)
-    s, t = g.n, g.n + 1
-    big = g.edge_count + 1
-    edge_arcs: list[tuple[int, int, int]] = []
-    for u, v in g.edges():
-        edge_arcs.append((net.add_arc(u, v, 1), u, v))
-        edge_arcs.append((net.add_arc(v, u, 1), v, u))
-    for x in sorted(sources):
-        net.add_arc(s, x, big)
-    for y in sorted(sinks):
-        net.add_arc(y, t, big)
-    net.max_flow(s, t)
-    # net usage per undirected edge (opposite unit flows cancel)
-    used: dict[Edge, int] = {}
-    for idx, u, v in edge_arcs:
-        if net.cap[idx] == 0:  # saturated u->v
-            e = edge_key(u, v)
-            direction = 1 if (u, v) == e else -1
-            used[e] = used.get(e, 0) + direction
+    net = CutNetwork.of(g)
+    cap = net.base.copy()
+    net.max_flow(cap, sorted(sources), sorted(sinks))
+    # net flow u -> v along edge i is 1 - cap[2i] (opposite unit flows cancel)
     out: dict[int, list[int]] = {v: [] for v in range(g.n)}
-    for e, d in sorted(used.items()):
+    for i, (u, v) in enumerate(net.ends):
+        d = 1 - cap[2 * i]
         if d > 0:
-            out[e[0]].append(e[1])
+            out[u].append(v)
         elif d < 0:
-            out[e[1]].append(e[0])
+            out[v].append(u)
     for v in out:
         out[v].sort(reverse=True)  # pop() takes the lowest
     sink_set = set(sinks)
@@ -250,16 +181,12 @@ def max_vertex_disjoint_paths(
         return 0
     if set(sources) & set(sinks):
         raise ValueError("terminal sets must be disjoint")
-    # split v into in=2v, out=2v+1 with unit capacity through each vertex
-    net = Dinic(2 * g.n + 2)
-    s, t = 2 * g.n, 2 * g.n + 1
-    for v in range(g.n):
-        net.add_arc(2 * v, 2 * v + 1, 1)
+    # split v into in = 2v and out = 2v + 1, joined by one directed unit arc
+    arcs = [(2 * v, 2 * v + 1, 0) for v in range(g.n)]
     for u, v in g.edges():
-        net.add_arc(2 * u + 1, 2 * v, 1)
-        net.add_arc(2 * v + 1, 2 * u, 1)
-    for x in sorted(sources):
-        net.add_arc(s, 2 * x, 1)
-    for y in sorted(sinks):
-        net.add_arc(2 * y + 1, t, 1)
-    return net.max_flow(s, t)
+        arcs += ((2 * u + 1, 2 * v, 0), (2 * v + 1, 2 * u, 0))
+    net = CutNetwork(2 * g.n, arcs)
+    flow, _ = net.max_flow(
+        net.base.copy(), [2 * x for x in sorted(sources)], [2 * y + 1 for y in sorted(sinks)]
+    )
+    return flow

@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import __version__
 from .budget import DEFAULT_BUDGET, SearchBudget
-from .catalog import strip_matching_base
+from .catalog import random_bipartite_regular, strip_matching_base
 from .connectivity import (
     InexactSearchError,
     cyclic_edge_connectivity,
@@ -32,7 +32,7 @@ from .constructions import (
     smallest_sharpness_ii,
     verify_expectations,
 )
-from .ears import bipartite_ear_packing, max_odd_ear_packing
+from .ears import max_odd_ear_packing
 from .graphs import (
     INF,
     Graph,
@@ -160,25 +160,16 @@ def _cmd_lambda(args) -> int:
 def _cmd_ears(args) -> int:
     g = _load_graph(args.graph, args.format)
     budget = _budget()
-    if args.bipartite:
-        if not args.matching:
-            raise ValueError("--bipartite needs --matching")
-        matching = _parse_matching_flag(g, args.matching)
-        packing = bipartite_ear_packing(g, matching)
-        payload = packing.to_json_dict()
-        payload["k"] = packing.k
-        payload["status"] = "exact"
+    if args.set:
+        u = [int(v) for v in args.set.split(",") if v.strip()]
+    elif args.matching:
+        u = sorted(_parse_matching_flag(g, args.matching).covered)
     else:
-        if args.set:
-            u = [int(v) for v in args.set.split(",") if v.strip()]
-        elif args.matching:
-            u = sorted(_parse_matching_flag(g, args.matching).covered)
-        else:
-            raise ValueError("ears needs --set or --matching")
-        result = max_odd_ear_packing(g, u, target=args.target, budget=budget)
-        payload = result.packing.to_json_dict()
-        payload["k"] = result.packing.k
-        payload["status"] = result.status
+        raise ValueError("ears needs --set or --matching")
+    result = max_odd_ear_packing(g, u, target=args.target, budget=budget)
+    payload = result.packing.to_json_dict()
+    payload["k"] = result.packing.k
+    payload["status"] = result.status
     _emit(payload, args.out)
     return EXIT_OK
 
@@ -198,8 +189,6 @@ def _cmd_construct(args) -> int:
         if k == 2:
             out = smallest_counterexample(k, seed=args.seed)
         else:
-            from .catalog import random_bipartite_regular
-
             source = random_bipartite_regular(30 * k, 3, seed=args.seed)
             base = strip_matching_base(source, 4 * k + 2, min_separation=4, seed=args.seed)
             out = build_ear_shortfall_counterexample(k, base)
@@ -306,7 +295,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--set", default=None, help='vertices as "0,1,5"')
     p.add_argument("--matching", default=None, help="use the matched vertices as U")
     p.add_argument("--target", type=int, default=None)
-    p.add_argument("--bipartite", action="store_true", help="flow route (bipartite hosts)")
     p.set_defaults(func=_cmd_ears)
 
     p = sub.add_parser("construct", help="build a named extremal family instance")

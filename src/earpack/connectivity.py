@@ -31,9 +31,10 @@ from .graphs import (
     bipartition,
     boundary_edges,
     chordless_cycles,
-    connected_components,
     cycle_edges,
     has_cycle_within,
+    induced_subgraph,
+    shortest_cycle,
     vertex_cycle,
 )
 from .matching import Check
@@ -111,7 +112,7 @@ def min_cut_between(
 @lru_cache(maxsize=1)
 def _cut_network(g: Graph) -> CutNetwork:
     """The cut network of the graph the pair search is working on."""
-    return CutNetwork(g)
+    return CutNetwork.of(g)
 
 
 def cyclic_edge_connectivity(g: Graph, budget: SearchBudget = DEFAULT_BUDGET) -> ConnectivityValue:
@@ -217,8 +218,6 @@ def _lambda_search(g: Graph, budget: SearchBudget, odd: bool) -> ConnectivityVal
 
 def _any_cycle_within(g: Graph, vertices: frozenset[int]) -> tuple[int, ...]:
     """Some cycle inside the induced subgraph (caller guarantees one exists)."""
-    from .graphs import induced_subgraph, shortest_cycle
-
     sub, back = induced_subgraph(g, vertices)
     cyc = shortest_cycle(sub)
     if cyc is None:
@@ -253,9 +252,3 @@ def verify_cut(g: Graph, cert: CutCertificate, require_odd: bool) -> Check:
         return Check(False, "odd witness required but cycle_a is even")
     return Check(True)
 
-
-def components_after_removal(g: Graph, cut: frozenset[Edge]) -> list[frozenset[int]]:
-    """Components of G - F (helper for audits and tests)."""
-    remaining = [e for e in g.edges() if e not in cut]
-    stripped = Graph(g.n, remaining)
-    return connected_components(stripped)

@@ -24,7 +24,7 @@ from .catalog import (
     tutte_coxeter_graph,
 )
 from .connectivity import InexactSearchError, cyclic_edge_connectivity
-from .ears import bipartite_ear_packing, max_odd_ear_packing
+from .ears import max_odd_ear_packing
 from .graphs import (
     Graph,
     bipartition,
@@ -665,12 +665,14 @@ def _evaluate(g, matching, out, exp, budget):
     if prop == "cut_tree_base_size":
         measured = len(boundary_edges(g, out.aux["tree_vertices"]))
         return measured, measured == predicted
-    if prop == "odd_ears_at_most":
-        measured = bipartite_ear_packing(g, matching).k
-        return measured, measured <= predicted
-    if prop == "odd_ears_below":
-        measured = bipartite_ear_packing(g, matching).k
-        return measured, measured < predicted
+    if prop in ("odd_ears_at_most", "odd_ears_below"):
+        # a packing is a lower bound: only an exact one confirms a ceiling
+        limit = predicted + 1 if prop == "odd_ears_at_most" else predicted
+        result = max_odd_ear_packing(g, matching.covered, budget=budget)
+        measured = result.packing.k
+        if measured >= limit:
+            return measured, False
+        return measured, True if result.exact else None
     if prop == "odd_ears_at_least":
         result = max_odd_ear_packing(g, matching.covered, target=predicted, budget=budget)
         measured = result.packing.k

@@ -2,14 +2,17 @@
 
 An ear of U is a path with both ends (and no interior vertex) in U, or a
 cycle meeting U in exactly one vertex; it is odd when its edge count is odd.
-Two packing routes are provided: an exact branch-and-bound over enumerated
-ears for desk-scale graphs, and a max-flow construction for bipartite hosts.
+``max_odd_ear_packing`` is the one entry point.  On a bipartite host it
+answers by max flow; on any other host it runs a branch and bound over
+enumerated ears, capped by a ``SearchBudget``.
 
-In a bipartite graph the flow route is exactly optimal: every odd ear of
-V(M) is itself a path from the black matched endpoints to the white ones
-(odd length forces opposite colors), so edge-disjoint odd ears are bounded
-by the max number of edge-disjoint such paths, and splitting each flow path
-at its interior V(M)-hits returns exactly one odd piece per path.
+In a bipartite graph the flow answer is exactly optimal: every odd ear of
+U is itself a path from a black vertex of U to a white one (odd length
+forces opposite colors, and there is no odd cycle), so edge-disjoint odd
+ears are bounded by the max number of edge-disjoint such paths, and
+splitting each flow path at its interior U-hits returns exactly one odd
+piece per path.  With U = V(M) this is the packing both of the extension
+theorem's cases count.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from typing import Iterable
 from ._flow import edge_disjoint_paths
 from .budget import DEFAULT_BUDGET, SearchBudget
 from .graphs import Edge, Graph, bipartition, edge_key
-from .matching import Check, Matching
+from .matching import Check
 
 
 @dataclass(frozen=True)
@@ -49,9 +52,6 @@ class Ear:
 
     def edge_set(self) -> frozenset[Edge]:
         return frozenset(self.edge_list())
-
-    def anchors(self, U: frozenset[int]) -> frozenset[int]:
-        return frozenset(v for v in self.vertices if v in U)
 
     def to_json_dict(self) -> dict:
         return {"kind": self.kind, "vertices": list(self.vertices)}
@@ -195,8 +195,11 @@ def max_odd_ear_packing(
     u_set = frozenset(U)
     if not u_set:
         raise ValueError("U must be nonempty")
-    if bipartition(g) is not None:
-        return PackingResult(_bipartite_flow_packing(g, u_set), "exact")
+    if not all(0 <= v < g.n for v in u_set):
+        raise ValueError("U has a vertex out of range")
+    parts = bipartition(g)
+    if parts is not None:
+        return PackingResult(_bipartite_flow_packing(g, u_set, parts[0]), "exact")
 
     top = g.n if budget.max_ear_len is None else budget.max_ear_len
     if target is None:
@@ -302,50 +305,20 @@ def _pack_branch_and_bound(
     return best, nodes, not stopped_early
 
 
-def _bipartite_flow_packing(g: Graph, u_set: frozenset[int]) -> EarPacking:
-    """Exact maximum odd-ear packing in a bipartite host via max flow."""
-    parts = bipartition(g)
-    assert parts is not None
-    black, _ = parts
+def _bipartite_flow_packing(g: Graph, u_set: frozenset[int], black: frozenset[int]) -> EarPacking:
+    """Exact maximum odd-ear packing in a bipartite host via max flow: unit
+    flow from the black vertices of U to the white ones, each flow path cut
+    at its interior U-hits, odd pieces kept (module notes)."""
     u_black = u_set & black
     u_white = u_set - black
     if not u_black or not u_white:
         return EarPacking(u_set, ())
-    ears = _split_paths_to_odd_ears(edge_disjoint_paths(g, u_black, u_white), u_set)
-    return EarPacking(u_set, ears)
-
-
-def _split_paths_to_odd_ears(paths: list[tuple[int, ...]], u_set: frozenset[int]) -> tuple[Ear, ...]:
     ears: list[Ear] = []
-    for path in paths:
+    for path in edge_disjoint_paths(g, u_black, u_white):
         hits = [i for i, v in enumerate(path) if v in u_set]
         for a, b in zip(hits, hits[1:]):
             piece = path[a : b + 1]
             if (len(piece) - 1) % 2 == 1:
                 ears.append(Ear("path", piece if piece[0] <= piece[-1] else piece[::-1]))
     ears.sort(key=lambda e: (e.length, e.vertices))
-    return tuple(ears)
-
-
-# ---------------------------------------------------------------------------
-# bipartite flow packing
-
-
-def bipartite_ear_packing(g: Graph, matching: Matching) -> EarPacking:
-    """Odd-ear packing of V(M) in a bipartite graph via max flow.
-
-    Runs unit-capacity max flow from the black matched endpoints to the
-    white ones, splits each flow path at interior V(M)-hits, and keeps the
-    odd pieces.  The result is a maximum odd-ear packing (see module notes).
-    """
-    parts = bipartition(g)
-    if parts is None:
-        raise ValueError("bipartite ear packing requires a bipartite graph")
-    black, _white = parts
-    u_set = matching.covered
-    if not matching.edges:
-        return EarPacking(u_set, ())
-    m_black = frozenset(u if u in black else v for u, v in matching.edges)
-    m_white = u_set - m_black
-    ears = _split_paths_to_odd_ears(edge_disjoint_paths(g, m_black, m_white), u_set)
-    return EarPacking(u_set, ears)
+    return EarPacking(u_set, tuple(ears))

@@ -123,9 +123,6 @@ class CycleList:
         """True entries mark odd cycles."""
         return tuple(len(c) % 2 == 1 for c in self.cycles)
 
-    def odd_cycles(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(c for c in self.cycles if len(c) % 2 == 1)
-
 
 # ---------------------------------------------------------------------------
 # serialization

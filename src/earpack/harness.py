@@ -12,11 +12,14 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field
+from functools import lru_cache
+from itertools import combinations
 from pathlib import Path
 from typing import Iterable, Sequence
 
 from . import __version__
 from .budget import DEFAULT_BUDGET, SearchBudget
+from .catalog import random_bipartite_regular
 from .connectivity import (
     InexactSearchError,
     cyclic_edge_connectivity,
@@ -133,9 +136,6 @@ class TheoremVerdict:
             "extended": self.extended,
             "consistent": self.consistent,
         }
-
-
-from functools import lru_cache
 
 
 @lru_cache(maxsize=512)
@@ -365,8 +365,6 @@ def enumerate_connected_regular(n: int, r: int) -> list[Graph]:
     """
     if n * r % 2 != 0 or r >= n:
         return []
-    from itertools import combinations
-
     found: dict[tuple, list[Graph]] = {}
     out: list[Graph] = []
     adj: list[set[int]] = [set() for _ in range(n)]
@@ -520,8 +518,10 @@ def distance3_matchings(
 @dataclass
 class SweepSummary:
     samples: int = 0
-    # requested sizes left out: the theorem is about graphs of even order
+    # requested sizes left out: the theorem is about graphs of even order,
+    # and no r-regular host exists with n <= r (bipartite: side <= r)
     odd_orders_skipped: int = 0
+    small_orders_skipped: int = 0
     matchings_checked: int = 0
     hypothesis_met: int = 0
     consistent: int = 0
@@ -535,6 +535,7 @@ class SweepSummary:
         return {
             "samples": self.samples,
             "odd_orders_skipped": self.odd_orders_skipped,
+            "small_orders_skipped": self.small_orders_skipped,
             "matchings_checked": self.matchings_checked,
             "hypothesis_met": self.hypothesis_met,
             "consistent": self.consistent,
@@ -568,11 +569,11 @@ def falsification_sweep(
 ) -> SweepSummary:
     """Try to falsify the extension theorem on random regular graphs.
 
-    Samples graphs round-robin over the even sizes in ``ns`` (odd ones are
-    skipped and counted), enumerates capped families of maximal distance-3
-    matchings, and checks every (G, M) pair.  Any
-    inconsistent pair is written out as a reproduction bundle and counted;
-    a correct library always reports zero.
+    Samples graphs round-robin over the even sizes in ``ns`` that admit an
+    r-regular host (odd and too-small sizes are skipped and counted),
+    enumerates capped families of maximal distance-3 matchings, and checks
+    every (G, M) pair.  Any inconsistent pair is written out as a
+    reproduction bundle and counted; a correct library always reports zero.
 
     With ``bipartite`` the samples come from the bipartite pairing model
     and, for r >= 4 (where a distance-3 matching escapes the excluded
@@ -582,8 +583,6 @@ def falsification_sweep(
     Single-edge matchings are skipped by default (the theorem starts at
     m = 2); ``include_m1`` adds them, where only the extension runs.
     """
-    from .catalog import random_bipartite_regular
-
     summary = SweepSummary(
         caps={
             "matchings_per_graph": matchings_per_graph,
@@ -591,11 +590,10 @@ def falsification_sweep(
             "note": "unknown hypothesis values count as not-met",
         }
     )
-    summary.odd_orders_skipped = sum(1 for n in ns if n % 2)
-    if bipartite:
-        usable = [n for n in ns if n % 2 == 0 and n // 2 > r]
-    else:
-        usable = [n for n in ns if n % 2 == 0 and n > r]
+    even = [n for n in ns if n % 2 == 0]
+    usable = [n for n in even if (n // 2 if bipartite else n) > r]
+    summary.odd_orders_skipped = len(ns) - len(even)
+    summary.small_orders_skipped = len(even) - len(usable)
     if not usable or samples <= 0:
         return summary
     for i in range(samples):
@@ -626,11 +624,10 @@ def falsification_sweep(
                     path = _write_bundle(bundle_dir, g, matching, r, seed + i, verdict)
                     summary.bundles.append(str(path))
             if bipartite and r >= 4 and verdict.report.lambda_c is not None:
-                from .ears import bipartite_ear_packing
-
+                # on a bipartite host k_found is already the exact flow packing
                 bound = min(verdict.report.lambda_c, matching.m * r)
                 summary.flow_bound_checked += 1
-                if bipartite_ear_packing(g, matching).k < bound:
+                if verdict.report.k_found < bound:
                     summary.flow_bound_violations += 1
                     if bundle_dir is not None:
                         path = _write_bundle(bundle_dir, g, matching, r, seed + i, verdict)

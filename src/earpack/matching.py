@@ -18,6 +18,7 @@ from .graphs import (
     connected_components,
     edge_distance,
     edge_key,
+    induced_subgraph,
     is_regular,
     validate_edge_set,
 )
@@ -71,10 +72,6 @@ class BarrierCertificate:
     @property
     def s(self) -> int:
         return len(self.S)
-
-    @property
-    def odd_components(self) -> tuple[frozenset[int], ...]:
-        return tuple(self.components[i] for i in self.odd)
 
     def to_json_dict(self) -> dict:
         return {
@@ -296,11 +293,28 @@ def build_barrier(g: Graph, matching: Matching, S: Iterable[int]) -> BarrierCert
     odd = tuple(i for i, c in enumerate(comps) if len(c) % 2 == 1)
     q1 = q2 = 0
     for i in odd:
-        sub, _ = _induced(g, comps[i])
+        sub, _ = induced_subgraph(g, comps[i])
         if bipartition(sub) is None:
             q2 += 1
         else:
             q1 += 1
+    m_star, mu = _barrier_counts(g, matching, s_set)
+    return BarrierCertificate(
+        S=s_set,
+        components=comps,
+        odd=odd,
+        m_star=m_star,
+        mu=mu,
+        q1=q1,
+        q2=q2,
+    )
+
+
+def _barrier_counts(g: Graph, matching: Matching, s_set: frozenset[int]) -> tuple[int, int]:
+    """(m_star, mu) for a separator S disjoint from V(M): the non-matching
+    edges inside V(M), and the edges inside S plus those joining S to V(M).
+    ``verify_barrier`` recounts both on its own."""
+    covered = matching.covered
     inner_vm = sum(1 for u, v in g.edges() if u in covered and v in covered)
     mu = sum(
         1
@@ -309,21 +323,7 @@ def build_barrier(g: Graph, matching: Matching, S: Iterable[int]) -> BarrierCert
         or (u in s_set and v in covered)
         or (v in s_set and u in covered)
     )
-    return BarrierCertificate(
-        S=s_set,
-        components=comps,
-        odd=odd,
-        m_star=inner_vm - matching.m,
-        mu=mu,
-        q1=q1,
-        q2=q2,
-    )
-
-
-def _induced(g: Graph, vertices: frozenset[int]):
-    from .graphs import induced_subgraph
-
-    return induced_subgraph(g, vertices)
+    return inner_vm - matching.m, mu
 
 
 def verify_barrier(g: Graph, matching: Matching, cert: BarrierCertificate) -> Check:
@@ -342,7 +342,7 @@ def verify_barrier(g: Graph, matching: Matching, cert: BarrierCertificate) -> Ch
         return Check(False, "odd component indices are wrong")
     q1 = q2 = 0
     for i in odd_expected:
-        sub, _ = _induced(g, cert.components[i])
+        sub, _ = induced_subgraph(g, cert.components[i])
         if bipartition(sub) is None:
             q2 += 1
         else:
@@ -431,15 +431,7 @@ def boundary_identity_sides(g: Graph, matching: Matching, S: Iterable[int]) -> I
         raise ValueError("S contains an out-of-range vertex")
     t_set = frozenset(range(g.n)) - covered - s_set
     lhs = sum(1 for u, v in g.edges() if (u in t_set) != (v in t_set))
-    inner_vm = sum(1 for u, v in g.edges() if u in covered and v in covered)
-    m_star = inner_vm - matching.m
-    mu = sum(
-        1
-        for u, v in g.edges()
-        if (u in s_set and v in s_set)
-        or (u in s_set and v in covered)
-        or (v in s_set and u in covered)
-    )
+    m_star, mu = _barrier_counts(g, matching, s_set)
     m = matching.m
     rhs = len(s_set) * r + 2 * (m * r - m - m_star - mu)
     return IdentitySides(lhs, rhs, len(s_set), m_star, mu)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -6,6 +7,7 @@ import pytest
 from earpack.cli import main
 from earpack.graphs import serialize_graph
 from earpack.catalog import heawood_graph, petersen_graph
+from earpack.constructions import smallest_counterexample
 from earpack.harness import random_regular
 
 
@@ -143,11 +145,47 @@ class TestLambdaVerb:
 
 class TestEars:
     def test_flow_route(self, capsys, heawood_file):
-        code, out, _ = run(
-            capsys, ["ears", heawood_file, "--matching", "0-7", "--bipartite"]
-        )
+        code, out, _ = run(capsys, ["ears", heawood_file, "--matching", "0-7"])
         payload = json.loads(out)
-        assert code == 0 and payload["k"] == 3
+        assert code == 0 and payload["k"] == 3 and payload["status"] == "exact"
+
+    def test_bipartite_flag_is_gone(self, capsys, heawood_file):
+        code, _, err = run(capsys, ["ears", heawood_file, "--matching", "0-7", "--bipartite"])
+        assert code == 1 and "--bipartite" in err
+
+    # packings recorded before the flow engines and bipartite routes merged
+    @pytest.mark.parametrize(
+        "matching, expected",
+        [
+            (
+                "0-7",
+                '{"U":[0,7],"ears":[{"kind":"path","vertices":[0,7]},'
+                '{"kind":"path","vertices":[0,11,4,8,1,7]},'
+                '{"kind":"path","vertices":[0,13,2,9,3,7]}],"k":3,"schema":1,"status":"exact"}',
+            ),
+            (
+                "0-7,2-8,5-12",
+                '{"U":[0,2,5,7,8,12],"ears":[{"kind":"path","vertices":[0,7]},'
+                '{"kind":"path","vertices":[2,8]},{"kind":"path","vertices":[5,12]},'
+                '{"kind":"path","vertices":[0,11,4,8]},{"kind":"path","vertices":[0,13,6,12]},'
+                '{"kind":"path","vertices":[2,9,3,7]}],"k":6,"schema":1,"status":"exact"}',
+            ),
+        ],
+    )
+    def test_pinned_heawood_packing(self, capsys, heawood_file, matching, expected):
+        assert run(capsys, ["ears", heawood_file, "--matching", matching])[:2] == (0, expected + "\n")
+
+    def test_pinned_counterexample_packing(self, capsys, tmp_path):
+        out = smallest_counterexample()
+        path = tmp_path / "c.g6"
+        path.write_bytes(serialize_graph(out.graph, "graph6") + b"\n")
+        flag = ",".join(f"{u}-{v}" for u, v in out.matching.edges)
+        assert flag == "81-126,97-127,98-125,107-129,109-128"
+        code, text, _ = run(capsys, ["ears", str(path), "--matching", flag])
+        payload = json.loads(text)
+        assert code == 0 and payload["k"] == 14 and payload["status"] == "exact"
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        assert digest == "38b26be044c241b13f53e0175cb77114ce2abae519e260618b926100899289b2"
 
     def test_target_route(self, capsys, petersen_file):
         code, out, _ = run(
@@ -211,6 +249,23 @@ class TestSweepVerb:
         _, first, _ = run(capsys, argv)
         _, second, _ = run(capsys, argv)
         assert first == second
+
+    def test_too_small_orders_are_skipped_and_counted(self, capsys):
+        code, out, err = run(
+            capsys, ["sweep", "--r", "4", "--n", "3..5", "--samples", "5", "--seed", "1"]
+        )
+        payload = json.loads(out)
+        assert code == 0 and err == ""
+        assert payload["odd_orders_skipped"] == 2 and payload["small_orders_skipped"] == 1
+        assert payload["samples"] == 0
+
+    def test_too_small_bipartite_sides_are_counted(self, capsys):
+        code, out, _ = run(
+            capsys,
+            ["sweep", "--r", "4", "--n", "6,8,10", "--samples", "2", "--seed", "1", "--bipartite"],
+        )
+        payload = json.loads(out)
+        assert code == 0 and payload["small_orders_skipped"] == 2 and payload["samples"] == 2
 
     def test_odd_orders_are_skipped_and_counted(self, capsys):
         code, out, err = run(

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 
 import pytest
@@ -7,7 +9,6 @@ from earpack.budget import SearchBudget
 from earpack.connectivity import (
     InexactSearchError,
     CutCertificate,
-    components_after_removal,
     cyclic_edge_connectivity,
     min_cut_between,
     odd_cyclic_edge_connectivity,
@@ -18,6 +19,7 @@ from earpack.graphs import (
     Graph,
     bipartition,
     boundary_edges,
+    connected_components,
     cycle_edges,
     induced_subgraph,
     shortest_cycle,
@@ -28,11 +30,17 @@ from earpack.catalog import (
     heawood_graph,
     petersen_graph,
     prism_graph,
+    random_bipartite_regular,
 )
 from earpack.constructions import smallest_counterexample
 from earpack.harness import random_regular
 
 from oracles import lambda_oracle
+
+
+def components_after_removal(g, cut):
+    """Components of G - F."""
+    return connected_components(Graph(g.n, [e for e in g.edges() if e not in cut]))
 
 
 class TestMinCut:
@@ -98,6 +106,53 @@ class TestPathFamiliesOnLongHosts:
     def test_vertex_disjoint_paths_on_a_long_prism(self):
         g = prism_graph(2500)
         assert max_vertex_disjoint_paths(g, {0, 2500}, {1250, 3750}) == 2
+
+
+def flow_cases():
+    """Seeded random cubic hosts with random terminal sets, then bipartite
+    hosts with spread-out terminals on both sides."""
+    rng = random.Random(20)
+    for n in range(10, 50, 2):
+        for seed in (1, 2):
+            g = random_regular(n, 3, seed=100 * n + seed)
+            k = rng.randint(1, 4)
+            vs = rng.sample(range(n), 2 * k)
+            yield g, set(vs[:k]), set(vs[k:])
+    for side in (5, 8, 12):
+        g = random_bipartite_regular(side, 3, seed=side)
+        yield g, set(range(0, side, 2)), set(range(side + 1, 2 * side, 3))
+
+
+class TestPathFamilyPins:
+    """Path families and counts recorded before the max-flow engines were
+    merged; the merged engine must reproduce them exactly."""
+
+    def test_edge_disjoint_paths_pinned(self):
+        found = [[list(p) for p in edge_disjoint_paths(g, a, b)] for g, a, b in flow_cases()]
+        assert len(found) == 43
+        assert found[0] == [[1, 0, 5], [1, 6, 9], [4, 2, 5], [4, 3, 7, 9]]
+        assert found[-1] == [
+            [0, 14, 7, 13], [0, 19], [2, 13], [2, 18, 1, 19], [4, 13], [4, 23, 5, 16],
+            [6, 16], [6, 17, 11, 19], [8, 20, 3, 22], [8, 22], [10, 16],
+        ]
+        digest = hashlib.sha256(json.dumps(found, separators=(",", ":")).encode()).hexdigest()
+        assert digest == "0c694f563f786f74bd1283f8e94d5f23d3c888fa52acbba435bacedc115e7022"
+
+    def test_vertex_disjoint_counts_pinned(self):
+        assert [max_vertex_disjoint_paths(g, a, b) for g, a, b in flow_cases()] == [
+            2, 2, 1, 3, 3, 1, 2, 2, 3, 2, 3, 3, 1, 4, 2, 3, 1, 3, 3, 1, 2, 2,
+            2, 1, 2, 3, 4, 3, 3, 1, 4, 3, 2, 3, 4, 2, 4, 1, 2, 3, 2, 3, 4,
+        ]
+
+    def test_terminal_checks(self):
+        g = cycle_graph(6)
+        for helper in (edge_disjoint_paths, max_vertex_disjoint_paths):
+            with pytest.raises(ValueError, match="disjoint"):
+                helper(g, {0, 1}, {1, 3})
+            with pytest.raises(ValueError, match="out of range"):
+                helper(g, {0}, {-1})
+        assert edge_disjoint_paths(g, set(), {3}) == []
+        assert max_vertex_disjoint_paths(g, {0}, set()) == 0
 
 
 class TestNamedValues:

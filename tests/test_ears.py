@@ -6,7 +6,6 @@ from earpack.budget import SearchBudget
 from earpack.ears import (
     Ear,
     EarPacking,
-    bipartite_ear_packing,
     max_odd_ear_packing,
     validate_ear,
     verify_packing,
@@ -16,7 +15,6 @@ from earpack.matching import Matching
 from earpack.catalog import (
     cycle_graph,
     heawood_graph,
-    petersen_graph,
     random_bipartite_regular,
     tutte_coxeter_graph,
 )
@@ -141,13 +139,13 @@ class TestBipartitePacking:
     def test_heawood_single_edge(self):
         h = heawood_graph()
         m = Matching.of(h, [h.edges()[0]])
-        packing = bipartite_ear_packing(h, m)
-        assert packing.k == 3
-        assert verify_packing(h, packing)
+        result = max_odd_ear_packing(h, m.covered)
+        assert result.status == "exact" and result.packing.k == 3
+        assert verify_packing(h, result.packing)
 
     def test_c6_single_edge(self):
         g = cycle_graph(6)
-        packing = bipartite_ear_packing(g, Matching.of(g, [(0, 1)]))
+        packing = max_odd_ear_packing(g, [0, 1]).packing
         assert packing.k == 2
         assert {e.length for e in packing.ears} == {1, 5}
 
@@ -156,18 +154,9 @@ class TestBipartitePacking:
             g = random_bipartite_regular(8, 3, seed=seed)
             edges = list(g.edges())
             m = Matching.of(g, [edges[0]])
-            packing = bipartite_ear_packing(g, m)
+            packing = max_odd_ear_packing(g, m.covered).packing
             assert all(e.is_odd for e in packing.ears)
             assert verify_packing(g, packing)
-
-    def test_non_bipartite_rejected(self):
-        p = petersen_graph()
-        with pytest.raises(ValueError, match="bipartite"):
-            bipartite_ear_packing(p, Matching.of(p, [(0, 1)]))
-
-    def test_empty_matching(self):
-        g = cycle_graph(4)
-        assert bipartite_ear_packing(g, Matching.of(g, [])).k == 0
 
     def test_flow_equals_exact_maximum_on_small_bipartite(self):
         # in a bipartite host the flow route is provably a maximum packing;
@@ -183,14 +172,23 @@ class TestBipartitePacking:
                     chosen.append(e)
                     used.update(e)
             m = Matching.of(g, chosen)
-            packing = bipartite_ear_packing(g, m)
-            assert packing.k == brute_max_odd_ear_packing(g, m.covered)
+            result = max_odd_ear_packing(g, m.covered)
+            assert result.status == "exact"
+            assert result.packing.k == brute_max_odd_ear_packing(g, m.covered)
+
+    def test_bad_sets_rejected(self):
+        with pytest.raises(ValueError, match="nonempty"):
+            max_odd_ear_packing(cycle_graph(4), [])
+        for g in (cycle_graph(4), cycle_graph(5)):  # flow and branch and bound
+            for bad in ([0, g.n], [0, -1]):
+                with pytest.raises(ValueError, match="out of range"):
+                    max_odd_ear_packing(g, bad)
 
     def test_flow_bound_on_cages(self):
         # min(lambda_c, m*r) attained exactly at desk scale
         h = heawood_graph()
         m = Matching.of(h, [h.edges()[0]])
-        assert bipartite_ear_packing(h, m).k == 3  # min(6, 3)
+        assert max_odd_ear_packing(h, m.covered).packing.k == 3  # min(6, 3)
         tc = tutte_coxeter_graph()
         m = Matching.of(tc, [tc.edges()[0]])
-        assert bipartite_ear_packing(tc, m).k == 3
+        assert max_odd_ear_packing(tc, m.covered).packing.k == 3

@@ -1,10 +1,11 @@
-"""networkx as an independent oracle for chordless cycles and min cuts
-(skipped when networkx is not installed)."""
+"""networkx as an independent oracle for chordless cycles, min cuts and
+disjoint path counts (skipped when networkx is not installed)."""
 
 import random
 
 import pytest
 
+from earpack._flow import edge_disjoint_paths, max_vertex_disjoint_paths
 from earpack.connectivity import min_cut_between
 from earpack.graphs import chordless_cycles
 from earpack.harness import random_regular
@@ -72,3 +73,44 @@ def test_cycle_pair_min_cuts_match_networkx():
             net.add_edges_from((y, "t") for y in b)
             expected, _ = nx.minimum_cut(net, "s", "t")
             assert min_cut_between(g, a, b)[0] == expected
+
+
+def terminal_cases():
+    """Random cubic hosts up to n = 60, each with a few random disjoint
+    terminal sets of sizes 1..5."""
+    rng = random.Random(11)
+    for n in range(10, 61, 10):
+        for seed in (1, 2):
+            g = random_regular(n, 3, seed=7000 + 10 * n + seed)
+            for _ in range(3):
+                k = rng.randint(1, 5)
+                vs = rng.sample(range(n), 2 * k)
+                yield g, set(vs[:k]), set(vs[k:])
+
+
+def with_terminals(h, sources, sinks):
+    """A copy of h plus a super-source "s" joined to the sources and a
+    super-sink "t" joined to the sinks."""
+    aux = h.copy()
+    aux.add_edges_from(("s", x) for x in sources)
+    aux.add_edges_from((y, "t") for y in sinks)
+    return aux
+
+
+def test_edge_disjoint_path_counts_match_networkx():
+    for g, a, b in terminal_cases():
+        arcs = to_nx(g).to_directed()
+        nx.set_edge_attributes(arcs, 1, "capacity")
+        flow = with_terminals(arcs, a, b)  # terminal arcs: no capacity, unbounded
+        paths = edge_disjoint_paths(g, a, b)
+        assert len(paths) == nx.maximum_flow_value(flow, "s", "t")
+        edges = [frozenset(e) for p in paths for e in zip(p, p[1:])]
+        assert len(edges) == len(set(edges)) and all(g.has_edge(*e) for e in edges)
+        assert all(p[0] in a and p[-1] in b for p in paths)
+
+
+def test_vertex_disjoint_path_counts_match_networkx():
+    for g, a, b in terminal_cases():
+        aux = with_terminals(to_nx(g), a, b)
+        expected = len(list(nx.node_disjoint_paths(aux, "s", "t")))
+        assert max_vertex_disjoint_paths(g, a, b) == expected
