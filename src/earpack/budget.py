@@ -11,7 +11,7 @@ from dataclasses import dataclass, replace
 
 @dataclass(frozen=True)
 class SearchBudget:
-    # chordless-cycle enumeration and cycle-pair cuts
+    # chordless-cycle enumeration; cycle pairs and restricted min cuts
     max_cycle_len: int | None = None  # None: up to n
     max_cycles: int = 1_000_000
     max_cycle_steps: int = 5_000_000

@@ -233,7 +233,11 @@ def build_ear_shortfall_counterexample(k: int, base: DeficientBipartiteBase) -> 
 
 
 def smallest_counterexample(k: int = 2, seed: int = 0) -> ConstructionOutput:
-    """A desk-scale counterexample instance on a random cubic bipartite base."""
+    """A desk-scale counterexample instance on a random cubic bipartite base.
+
+    The default size (k = 2, n = 134) is outside the asymptotic regime: the
+    boundary of a 4-cycle gives lambda_c = 4 < 15, and k = 14 >= min(4, mr).
+    """
     for attempt in range(10):
         source = random_bipartite_regular(60 + 3 * attempt, 3, seed=seed + attempt)
         try:
@@ -351,7 +355,11 @@ def build_sharpness_i(
 
 
 def smallest_sharpness_i(seed: int = 0) -> ConstructionOutput:
-    """The m=2, r=3 instance over stripped cage bases."""
+    """The m=2, r=3 instance over stripped cage bases.
+
+    The default size (n = 50) is outside the asymptotic regime: the boundary
+    of a 4-cycle gives lambda_c = 4, below the predicted 5.
+    """
     for attempt in range(12):
         try:
             base1 = strip_matching_base(tutte_coxeter_graph(), 6, 2, seed=seed + attempt)
@@ -479,6 +487,7 @@ def smallest_sharpness_lambda(seed: int = 0) -> ConstructionOutput:
 
     Separation 1 suffices: every deficient vertex receives exactly one wing
     edge, which already forces the matching distance to be at least 3.
+    The default size (n = 34) settles every row: lambda_c = 3 as predicted.
     """
     for attempt in range(12):
         try:
@@ -546,7 +555,11 @@ def build_sharpness_ii(m: int, r: int, base: DeficientBipartiteBase) -> Construc
 
 
 def smallest_sharpness_ii() -> ConstructionOutput:
-    """The m=2, r=3 instance over the girth-8 cage (the faithful route)."""
+    """The m=2, r=3 instance over the girth-8 cage (the faithful route).
+
+    The default size (n = 30) is outside the asymptotic regime:
+    lambda_c = lambda_oc = 5, below the predicted 6.
+    """
     base = gamma_base(tutte_coxeter_graph(), 2, 2)
     return build_sharpness_ii(2, 3, base)
 

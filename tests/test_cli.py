@@ -121,15 +121,17 @@ class TestLambdaVerb:
         code, out, _ = run(capsys, ["lambda", heawood_file, "--odd"])
         assert code == 0 and json.loads(out)["value"] == "inf"
 
-    # output recorded before the cut network and the bitmask enumeration:
-    # one exact host whose cuts come from the pair loop, one capped host
+    # output recorded with the restricted-cut engine: one host whose cuts
+    # come from the engine (lambda_oc from the same cut), the n=26 host
+    # exact at the budget that once capped it, and a factor that caps it
     @pytest.mark.parametrize(
         "n, seed, budget, odd, code, expected",
         [
-            (18, 12, None, False, 0, '{"F":[[0,7],[9,15],[14,16]],"cycle_a":[0,2,9,13],"cycle_b":[1,6,4,10],"odd":false,"schema":1,"side_a":[0,2,9,13,16],"value":3}'),
-            (18, 12, None, True, 0, '{"F":[[3,8],[4,12],[7,17]],"cycle_a":[1,6,8,5,10],"cycle_b":[0,2,9,13],"odd":true,"schema":1,"side_a":[1,4,5,6,8,10,17],"value":3}'),
-            (26, 8, "0.01", False, 2, '{"schema":1,"upper_bound":4,"value":null}'),
-            (26, 8, "0.01", True, 2, '{"schema":1,"upper_bound":4,"value":null}'),
+            (18, 12, None, False, 0, '{"F":[[0,7],[9,15],[14,16]],"cycle_a":[0,2,16,13],"cycle_b":[1,6,4,10],"odd":false,"schema":1,"side_a":[0,2,9,13,16],"value":3}'),
+            (18, 12, None, True, 0, '{"F":[[0,7],[9,15],[14,16]],"cycle_a":[8,6,1,10,5],"cycle_b":[0,2,16,13],"odd":true,"schema":1,"side_a":[1,3,4,5,6,7,8,10,11,12,14,15,17],"value":3}'),
+            (26, 8, "0.01", False, 0, '{"F":[[1,16],[6,19],[8,24],[12,17]],"cycle_a":[1,8,17,19],"cycle_b":[2,14,23,24],"odd":false,"schema":1,"side_a":[1,8,17,19],"value":4}'),
+            (26, 8, "0.01", True, 0, '{"F":[[1,16],[6,19],[8,24],[12,17]],"cycle_a":[16,5,3,11,22],"cycle_b":[1,8,17,19],"odd":true,"schema":1,"side_a":[0,2,3,4,5,6,7,9,10,11,12,13,14,15,16,18,20,21,22,23,24,25],"value":4}'),
+            (26, 8, "0.00001", False, 2, '{"schema":1,"upper_bound":4,"value":null}'),
         ],
     )
     def test_pinned_output(self, capsys, monkeypatch, tmp_path, n, seed, budget, odd, code, expected):

@@ -5,10 +5,13 @@ import random
 import pytest
 
 from earpack._flow import edge_disjoint_paths, max_vertex_disjoint_paths
-from earpack.budget import SearchBudget
+import earpack.connectivity as connectivity
+from earpack.budget import DEFAULT_BUDGET, SearchBudget
 from earpack.connectivity import (
     InexactSearchError,
     CutCertificate,
+    _lambda_search,
+    _RestrictedCuts,
     cyclic_edge_connectivity,
     min_cut_between,
     odd_cyclic_edge_connectivity,
@@ -31,8 +34,9 @@ from earpack.catalog import (
     petersen_graph,
     prism_graph,
     random_bipartite_regular,
+    tutte_coxeter_graph,
 )
-from earpack.constructions import smallest_counterexample
+from earpack.constructions import VERIFY_BUDGET, smallest_counterexample, smallest_sharpness_i
 from earpack.harness import random_regular
 
 from oracles import lambda_oracle
@@ -296,3 +300,160 @@ class TestStructuralProperties:
                     e = tuple(sorted((lifted[i], lifted[j])))
                     if g.has_edge(*e):
                         assert e in on_cycle
+
+
+def _plus_edges(g, count, seed):
+    """g with ``count`` random non-edges added: min degree kept, not regular."""
+    rng = random.Random(seed)
+    edges = set(g.edges())
+    while len(edges) < g.edge_count + count:
+        u, v = sorted(rng.sample(range(g.n), 2))
+        edges.add((u, v))
+    return Graph(g.n, edges)
+
+
+def _joined(a, b, links):
+    """Disjoint copies of a and b joined by ``links`` edges (i, i) -> (i, a.n + i)."""
+    edges = list(a.edges()) + [(u + a.n, v + a.n) for u, v in b.edges()]
+    edges += [(i, a.n + i) for i in range(links)]
+    return Graph(a.n + b.n, edges)
+
+
+def restricted_hosts():
+    """Connected hosts of min degree >= 3 on which the cycle-pair search
+    finishes in well under a second."""
+    yield "petersen", petersen_graph()
+    yield "heawood", heawood_graph()
+    yield "tutte-coxeter", tutte_coxeter_graph()
+    for k in range(3, 15):
+        yield f"prism{k}", prism_graph(k)
+    for r, sizes in ((3, range(8, 31, 2)), (4, range(6, 21)), (5, range(8, 17, 2)), (6, range(8, 15))):
+        for n in sizes:
+            for c in range(2):
+                yield f"r{r}n{n}.{c}", random_regular(n, r, seed=7 * n + r + 1000 * c)
+    for side in range(5, 10):
+        yield f"bq{side}", random_bipartite_regular(side, 4, seed=side)
+    for n in (12, 16, 20):
+        yield f"r3n{n}+3", _plus_edges(random_regular(n, 3, seed=n), 3, seed=n)
+    yield "two cubic joined by 2", _joined(random_regular(12, 3, seed=1), random_regular(14, 3, seed=2), 2)
+    yield "petersen joined to r4n9 by 3", _joined(petersen_graph(), random_regular(9, 4, seed=3), 3)
+
+
+def fallback_hosts():
+    """Hosts the restricted search does not apply to: min degree below 3, a
+    disconnected graph, or no shortest cycle with a cyclic complement."""
+    k4 = Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
+    triangles = Graph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (2, 3)])
+    yield "C7", cycle_graph(7)
+    yield "two triangles and a bridge", triangles
+    yield "two K4", _joined(k4, k4, 0)
+    yield "K4 and petersen", _joined(k4, petersen_graph(), 0)
+    yield "K4", k4
+    yield "K3,3", complete_bipartite(3, 3)
+    yield "K3,5", complete_bipartite(3, 5)
+    yield "wheel W6", Graph(7, [(i, 6) for i in range(6)] + [(i, (i + 1) % 6) for i in range(6)])
+
+
+def _certified(g, value, odd):
+    if value.certificate is None:
+        return value.value == INF
+    return bool(verify_cut(g, value.certificate, odd)) and len(value.certificate.F) == value.value
+
+
+class TestRestrictedCuts:
+    """The restricted-cut engine and the dispatch against the cycle-pair
+    search, which stays the oracle."""
+
+    @pytest.mark.parametrize("g", [pytest.param(g, id=label) for label, g in restricted_hosts()])
+    def test_engine_agrees_with_the_pair_search(self, g):
+        engine = _RestrictedCuts.of(g)
+        assert engine is not None
+        pair = _lambda_search(g, DEFAULT_BUDGET, odd=False)
+        got = engine.search(DEFAULT_BUDGET)
+        assert got.value == pair.value and got.value <= engine.bound
+        assert _certified(g, got, odd=False)
+        public = cyclic_edge_connectivity(g)
+        assert public.value == pair.value and _certified(g, public, odd=False)
+        if bipartition(g) is not None:
+            assert odd_cyclic_edge_connectivity(g).value == INF
+            return
+        odd = odd_cyclic_edge_connectivity(g)
+        assert odd.value == _lambda_search(g, DEFAULT_BUDGET, odd=True).value
+        assert _certified(g, odd, odd=True)
+
+    @pytest.mark.parametrize("g", [pytest.param(g, id=label) for label, g in fallback_hosts()])
+    def test_fallback_hosts_use_the_pair_search(self, g):
+        assert _RestrictedCuts.of(g) is None
+        for odd in (False, True):
+            solver = odd_cyclic_edge_connectivity if odd else cyclic_edge_connectivity
+            value = solver(g)
+            assert value.value == lambda_oracle(g, odd), odd
+            assert _certified(g, value, odd)
+
+    def test_dispatch_runs_the_route_with_fewer_min_cuts(self, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return min_cut_between(*args, **kwargs)
+
+        monkeypatch.setattr(connectivity, "min_cut_between", counting)
+        # Tutte-Coxeter: 30,928 candidate pairs against 5,751 cycle pairs
+        assert _RestrictedCuts.of(tutte_coxeter_graph()).count_pairs(10**6) == 30928
+        assert cyclic_edge_connectivity(tutte_coxeter_graph()).value == 8
+        assert len(calls) == 5751
+        # prism k=24: 71 candidate pairs; the cycle enumeration stops at 71
+        calls.clear()
+        assert cyclic_edge_connectivity(prism_graph(24)).value == 4
+        assert len(calls) == 71
+
+    def test_small_side_decides_on_a_dense_host(self):
+        # non-regular: the shortest cycles through vertices give U = 9 and
+        # s = 7, and the minimum cut has a side of fewer than s vertices
+        g = Graph(12, [
+            (0, 1), (0, 2), (0, 3), (0, 4), (0, 6), (0, 7), (0, 11), (1, 3), (1, 5), (1, 7),
+            (1, 8), (1, 10), (1, 11), (2, 4), (2, 5), (2, 11), (3, 4), (3, 11), (4, 6), (4, 8),
+            (4, 9), (4, 11), (5, 7), (5, 8), (5, 10), (6, 7), (6, 9), (7, 9), (8, 9), (8, 10),
+        ])
+        engine = _RestrictedCuts.of(g)
+        assert (engine.bound, engine.s, engine.girth) == (9, 7, 3)
+        value = engine.search(DEFAULT_BUDGET)
+        assert value.value == 7 == _lambda_search(g, DEFAULT_BUDGET, odd=False).value
+        assert len(value.certificate.side_a) < engine.s and _certified(g, value, odd=False)
+
+    def test_length_limited_enumeration_is_not_complete(self):
+        # cycles longer than the limit may be missing: the restricted search
+        # answers where it applies, and the pair search alone stays unknown
+        limited = SearchBudget(max_cycle_len=4)
+        assert cyclic_edge_connectivity(petersen_graph(), limited).value == 5
+        k4 = Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
+        with pytest.raises(InexactSearchError):
+            cyclic_edge_connectivity(_joined(k4, petersen_graph(), 0), limited)
+
+    @pytest.mark.parametrize("build", [smallest_sharpness_i, smallest_counterexample])
+    def test_construction_hosts_settle(self, build):
+        # both once kept an upper bound above 4 under the verify budget; the
+        # boundary of a 4-cycle is a minimum cyclic cut
+        g = build().graph
+        value = cyclic_edge_connectivity(g, VERIFY_BUDGET)
+        assert value.value == 4 and _certified(g, value, odd=False)
+        tiny = SearchBudget(max_cycles=1, max_cycle_steps=1, max_cut_pairs=1)
+        with pytest.raises(InexactSearchError) as err:
+            cyclic_edge_connectivity(g, tiny)
+        assert err.value.upper_bound == 4
+
+    @pytest.mark.parametrize("seed, n, lam_oc", [(9, 10, 5), (11, 16, 4)])
+    def test_odd_gap_when_both_sides_are_bipartite(self, seed, n, lam_oc):
+        # the lambda_c cut has two bipartite sides, so the odd pair search
+        # runs with lambda_c as its floor
+        g = random_regular(n, 3, seed=seed)
+        assert bipartition(g) is None
+        cut = cyclic_edge_connectivity(g)
+        assert cut.value == 4
+        for side in (cut.certificate.side_a, cut.certificate.side_b):
+            assert bipartition(induced_subgraph(g, side)[0]) is not None
+        odd = odd_cyclic_edge_connectivity(g)
+        assert odd.value == lam_oc == _lambda_search(g, DEFAULT_BUDGET, odd=True).value
+        assert _certified(g, odd, odd=True)
+        if n <= 10:
+            assert lam_oc == lambda_oracle(g, True)

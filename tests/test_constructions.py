@@ -88,6 +88,12 @@ class TestStripBase:
             strip_matching_base(heawood_graph(), 4, min_separation=2, seed=0, tries=40)
 
 
+def lambda_row(out):
+    """The report and its lambda_c_at_least row."""
+    report = verify_expectations(out)
+    return report, next(row for row in report.rows if row.prop == "lambda_c_at_least")
+
+
 class TestCounterexample:
     def test_k1_rejected(self):
         src = random_bipartite_regular(40, 3, seed=0)
@@ -114,6 +120,12 @@ class TestCounterexample:
         assert rows["odd_ears_at_most"].measured <= 5 * k + 4
         assert rows["odd_ears_below"].measured < 6 * k + 3
 
+    def test_default_size_settles_lambda_below_the_prediction(self):
+        # the boundary of a 4-cycle: the default size is not asymptotic
+        report, row = lambda_row(smallest_counterexample())
+        assert (row.predicted, row.measured, row.ok) == (15, 4, False)
+        assert report.ok
+
 
 class TestSharpnessI:
     def test_smallest_instance(self):
@@ -127,6 +139,12 @@ class TestSharpnessI:
         base2 = strip_matching_base(heawood_graph(), 4, 1, seed=0)
         with pytest.raises(ValueError, match="deficient pairs"):
             build_sharpness_i(2, 3, base2, base2)
+
+    def test_default_size_settles_lambda_below_the_prediction(self):
+        # the boundary of a 4-cycle: the default size is not asymptotic
+        report, row = lambda_row(smallest_sharpness_i())
+        assert (row.predicted, row.measured, row.ok) == (5, 4, False)
+        assert report.ok
 
     def test_names_cover_roles(self):
         out = smallest_sharpness_i()
