@@ -12,12 +12,10 @@ from dataclasses import dataclass, replace
 @dataclass(frozen=True)
 class SearchBudget:
     # chordless-cycle enumeration; cycle pairs and restricted min cuts
-    max_cycle_len: int | None = None  # None: up to n
     max_cycles: int = 1_000_000
     max_cycle_steps: int = 5_000_000
     max_cut_pairs: int = 1_000_000
     # ear enumeration and branch-and-bound packing
-    max_ear_len: int | None = None  # None: up to n
     max_ears: int = 200_000
     max_bb_nodes: int = 2_000_000
 

@@ -51,8 +51,7 @@ when no shortest cycle through a vertex has a cyclic complement.  The
 pair search charges every cycle pair to ``max_cut_pairs``, and the
 restricted search every min cut and every small side; a capped search
 raises ``InexactSearchError`` with its best certified cut, which for the
-restricted search is at most U.  A length limit (``max_cycle_len``) below
-n makes an enumeration incomplete.
+restricted search is at most U.
 
 Every min cut runs on one unit-capacity ``CutNetwork`` built for the graph
 and reused (``min_cut_between`` caches the last graph's network); it stops at
@@ -64,7 +63,9 @@ search.  Otherwise lambda_oc >= lambda_c, and when a side of the lambda_c
 cut is non-bipartite, lambda_oc = lambda_c with an odd cycle of that side as
 ``cycle_a``.  Only when both sides are bipartite does the odd cycle-pair
 search run (its first cycle odd), and it stops at the first odd-sided cut of
-size lambda_c.
+size lambda_c.  A capped lambda_c search hands its best cut to the same
+side check, so a capped lambda_oc never reports an upper bound above an
+odd-sided cut already found.
 """
 
 from __future__ import annotations
@@ -97,12 +98,13 @@ class InexactSearchError(RuntimeError):
     """A capped search could not certify an exact value.
 
     ``upper_bound`` is the best cut size found before the cap hit (INF when
-    none was found).
+    none was found), and ``certificate`` that cut (None when none was found).
     """
 
-    def __init__(self, message: str, upper_bound: float):
+    def __init__(self, message: str, upper_bound: float, certificate: CutCertificate | None = None):
         super().__init__(f"{message}; best upper bound found: {upper_bound}")
         self.upper_bound = upper_bound
+        self.certificate = certificate
 
 
 @dataclass(frozen=True)
@@ -178,27 +180,44 @@ def odd_cyclic_edge_connectivity(g: Graph, budget: SearchBudget = DEFAULT_BUDGET
 
     A bipartite graph has no odd cycle, hence no odd-cyclic cut: infinite,
     with no search.  Otherwise the lambda_c cut answers whenever one of its
-    sides is non-bipartite.
+    sides is non-bipartite.  When the lambda_c search is capped, its best
+    cut still bounds lambda_oc from above if a side of it is non-bipartite.
     """
     if bipartition(g) is not None:
         return ConnectivityValue(INF)
     try:
         lam = _lambda_c(g, budget)
-    except InexactSearchError:
-        return _lambda_search(g, budget, odd=True)
-    cert = lam.certificate
-    if cert is None:  # no two disjoint cycles
+    except InexactSearchError as capped:
+        held = _odd_sided(g, capped.certificate)
+        try:
+            return _lambda_search(g, budget, odd=True)
+        except InexactSearchError as exc:
+            if held is None or exc.upper_bound <= capped.upper_bound:
+                raise
+            raise InexactSearchError(
+                "odd-cyclic cut search: cap exceeded", capped.upper_bound, held
+            ) from exc
+    if lam.certificate is None:  # no two disjoint cycles
         return lam
+    held = _odd_sided(g, lam.certificate)
+    if held is not None:
+        return ConnectivityValue(lam.value, held)
+    return _lambda_search(g, budget, odd=True, floor=lam.value)
+
+
+def _odd_sided(g: Graph, cert: CutCertificate | None) -> CutCertificate | None:
+    """``cert`` with an odd cycle of a non-bipartite side as ``cycle_a``, or
+    None when there is no such side."""
+    if cert is None:
+        return None
     for side, other, other_cycle in (
         (cert.side_a, cert.side_b, cert.cycle_b),
         (cert.side_b, cert.side_a, cert.cycle_a),
     ):
         odd_cycle = _odd_cycle_within(g, side)
         if odd_cycle is not None:
-            return ConnectivityValue(
-                lam.value, CutCertificate(cert.F, side, other, odd_cycle, other_cycle, True)
-            )
-    return _lambda_search(g, budget, odd=True, floor=lam.value)
+            return CutCertificate(cert.F, side, other, odd_cycle, other_cycle, True)
+    return None
 
 
 def _lambda_c(g: Graph, budget: SearchBudget) -> ConnectivityValue:
@@ -207,7 +226,7 @@ def _lambda_c(g: Graph, budget: SearchBudget) -> ConnectivityValue:
     if engine is None:
         return _lambda_search(g, budget, odd=False)
     pairs = engine.count_pairs(limit=budget.max_cut_pairs + 1)
-    found = _chordless(g, budget, cap=min(pairs, budget.max_cycles))
+    found = chordless_cycles(g, cap=min(pairs, budget.max_cycles), step_cap=budget.max_cycle_steps)
     c = len(found.cycles)
     # the pair search charges every pair, overlapping ones too, to the cap
     if not found.truncated and c * (c - 1) // 2 <= budget.max_cut_pairs:
@@ -220,15 +239,6 @@ def _lambda_c(g: Graph, budget: SearchBudget) -> ConnectivityValue:
         if cuts < pairs:
             return _lambda_search(g, budget, odd=False, found=found)
     return engine.search(budget)
-
-
-def _chordless(g: Graph, budget: SearchBudget, cap: int) -> CycleList:
-    """The budgeted chordless cycles; a length limit below n counts as a
-    truncation, since longer cycles may be missing."""
-    found = chordless_cycles(g, max_len=budget.max_cycle_len, cap=cap, step_cap=budget.max_cycle_steps)
-    if budget.max_cycle_len is not None and budget.max_cycle_len < g.n:
-        return CycleList(found.cycles, True)
-    return found
 
 
 def _cycle_masks(g: Graph, cycles) -> list[int]:
@@ -249,7 +259,7 @@ def _lambda_search(
     as exact, even on a truncated enumeration.
     """
     if found is None:
-        found = _chordless(g, budget, cap=budget.max_cycles)
+        found = chordless_cycles(g, cap=budget.max_cycles, step_cap=budget.max_cycle_steps)
     cycles = found.cycles
     masks = _cycle_masks(g, cycles)
     is_odd = [len(c) % 2 == 1 for c in cycles]
@@ -326,9 +336,9 @@ def _lambda_search(
     kind = "odd-cyclic" if odd else "cyclic"
     if best > floor:
         if found.truncated:
-            raise InexactSearchError(f"{kind} cut search: chordless-cycle cap exceeded", best)
+            raise InexactSearchError(f"{kind} cut search: chordless-cycle cap exceeded", best, best_cert)
         if capped:
-            raise InexactSearchError(f"{kind} cut search: cycle-pair cap exceeded", best)
+            raise InexactSearchError(f"{kind} cut search: cycle-pair cap exceeded", best, best_cert)
     if best == INF:
         return ConnectivityValue(INF)
     return ConnectivityValue(best, best_cert)
@@ -426,7 +436,7 @@ class _RestrictedCuts:
         degree = [len(a) for a in g.adjacency]
         for count, x in enumerate(self.small_sides()):
             if count == budget.max_cut_pairs:
-                raise InexactSearchError("cyclic cut search: small-side cap exceeded", best)
+                raise InexactSearchError("cyclic cut search: small-side cap exceeded", best, cert)
             members = _members(x)
             bd = sum((adjmask[v] & ~x).bit_count() for v in members)
             spanned = (sum(map(degree.__getitem__, members)) - bd) // 2
@@ -437,7 +447,7 @@ class _RestrictedCuts:
                     cert = _certified_cut(g, boundary_edges(g, inside), inside)
         for count, (source, tee) in enumerate(self.pairs()):
             if count == budget.max_cut_pairs:
-                raise InexactSearchError("cyclic cut search: restricted-cut cap exceeded", best)
+                raise InexactSearchError("cyclic cut search: restricted-cut cap exceeded", best, cert)
             value, cut, side = min_cut_between(g, _members(source), _members(tee), cutoff=best)
             if value < best:
                 best = value

@@ -117,6 +117,11 @@ class _Assembler:
     def edge(self, u: int, v: int) -> None:
         self.edges.append((u, v))
 
+    def take(self, queue: list[int], count: int, who: int) -> None:
+        """Join ``who`` to the next ``count`` vertices of ``queue``."""
+        for _ in range(count):
+            self.edge(who, queue.pop(0))
+
     def name(self, v: int, label: str) -> None:
         self.names[v] = label
 
@@ -310,18 +315,14 @@ def build_sharpness_i(
     x_queue = list(x)
     z_queue = list(z[: alpha - up])
 
-    def take(queue: list[int], count: int, who: int) -> None:
-        for _ in range(count):
-            asm.edge(who, queue.pop(0))
-
     for i in range(m - 1):
-        take(x_queue, _ceil2(r - 1), bs[i])
-        take(z_queue, (r - 1) // 2, bs[i])
-        take(x_queue, (r - 1) // 2, ws[i])
-        take(z_queue, _ceil2(r - 1), ws[i])
-    take(x_queue, up, bs[m - 1])
-    take(z_queue, down - 1, bs[m - 1])
-    take(x_queue, r - 1, ws[m - 1])
+        asm.take(x_queue, _ceil2(r - 1), bs[i])
+        asm.take(z_queue, (r - 1) // 2, bs[i])
+        asm.take(x_queue, (r - 1) // 2, ws[i])
+        asm.take(z_queue, _ceil2(r - 1), ws[i])
+    asm.take(x_queue, up, bs[m - 1])
+    asm.take(z_queue, down - 1, bs[m - 1])
+    asm.take(x_queue, r - 1, ws[m - 1])
     assert not x_queue and not z_queue, "join bookkeeping is off"
 
     g = asm.build()
@@ -437,19 +438,15 @@ def build_sharpness_lambda(
     for i in range(m):
         asm.edge(bs[i], ws[i])
 
-    def take(queue: list[int], count: int, who: int) -> None:
-        for _ in range(count):
-            asm.edge(who, queue.pop(0))
-
     for i in range(m):
         if i == m - 1 and not even_case:
-            take(u1_queue, _ceil2(r - 1) - 1, bs[i])
-            take(u2_queue, (r - 1) // 2 + 1, bs[i])
+            asm.take(u1_queue, _ceil2(r - 1) - 1, bs[i])
+            asm.take(u2_queue, (r - 1) // 2 + 1, bs[i])
         else:
-            take(u1_queue, _ceil2(r - 1), bs[i])
-            take(u2_queue, (r - 1) // 2, bs[i])
-        take(u1_queue, (r - 1) // 2, ws[i])
-        take(u2_queue, _ceil2(r - 1), ws[i])
+            asm.take(u1_queue, _ceil2(r - 1), bs[i])
+            asm.take(u2_queue, (r - 1) // 2, bs[i])
+        asm.take(u1_queue, (r - 1) // 2, ws[i])
+        asm.take(u2_queue, _ceil2(r - 1), ws[i])
     assert not u1_queue and not u2_queue, "join bookkeeping is off"
 
     g = asm.build()

@@ -201,11 +201,10 @@ def max_odd_ear_packing(
     if parts is not None:
         return PackingResult(_bipartite_flow_packing(g, u_set, parts[0]), "exact")
 
-    top = g.n if budget.max_ear_len is None else budget.max_ear_len
     if target is None:
-        levels = [top]
+        levels = [g.n]
     else:
-        levels = [l for l in (1, 3, 5, 7, 9) if l < top] + [top]
+        levels = [l for l in (1, 3, 5, 7, 9) if l < g.n] + [g.n]
 
     nodes_left = budget.max_bb_nodes
     result: tuple[list[int], tuple[Ear, ...]] = ([], ())

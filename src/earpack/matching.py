@@ -1,9 +1,15 @@
 """Maximum and perfect matchings, matching extension with certificates, and
 the distance-restricted matching predicates.
 
-The extension decision reduces to a perfect matching of the graph minus the
-matched vertices; when that fails, a barrier certificate is extracted from
-the Gallai-Edmonds decomposition and can be re-verified independently.
+The extension decision reduces to a perfect matching of H = G - V(M).  When
+H has none, the barrier S is the Gallai-Edmonds set A(H) = N(D) - D, where D
+is the set of vertices some maximum matching of H misses.  Under a maximum
+matching, D is the set of vertices joined to an exposed vertex by an even
+alternating path, and an exhausted Edmonds search from an exposed root labels
+exactly those reached from it as even (Edmonds 1965; Lovasz and Plummer,
+*Matching Theory*, section 3.2).  So D is read off one search per exposed
+vertex, after the one maximum matching.  ``verify_barrier`` re-checks the
+certificate independently.
 """
 
 from __future__ import annotations
@@ -122,7 +128,7 @@ class Check(NamedTuple):
 # Edmonds' blossom algorithm (maximum cardinality)
 
 
-def _greedy_init(adj: list[tuple[int, ...]], alive: list[bool], mate: list[int]) -> None:
+def _greedy_init(adj: tuple[tuple[int, ...], ...], alive: list[bool], mate: list[int]) -> None:
     for v in range(len(adj)):
         if alive[v] and mate[v] < 0:
             for w in adj[v]:
@@ -132,8 +138,12 @@ def _greedy_init(adj: list[tuple[int, ...]], alive: list[bool], mate: list[int])
                     break
 
 
-def _augment_from(adj: list[tuple[int, ...]], alive: list[bool], mate: list[int], root: int) -> bool:
-    """Search for an augmenting path from ``root``; apply it if found."""
+def _augment_from(
+    adj: tuple[tuple[int, ...], ...], alive: list[bool], mate: list[int], root: int
+) -> list[int] | None:
+    """Search for an augmenting path from ``root`` and apply it if found
+    (None).  An exhausted search returns the vertices it labelled even: the
+    root, the mates of odd vertices and the blossom members."""
     n = len(adj)
     parent = [-1] * n
     base = list(range(n))
@@ -194,20 +204,19 @@ def _augment_from(adj: list[tuple[int, ...]], alive: list[bool], mate: list[int]
                         mate[w] = pv
                         mate[pv] = w
                         w = nxt
-                    return True
+                    return None
                 if not in_queue[mate[w]]:
                     in_queue[mate[w]] = True
                     queue.append(mate[w])
-    return False
+    return queue
 
 
-def _max_matching_mates(g: Graph, alive: list[bool] | None = None, mate: list[int] | None = None) -> list[int]:
-    adj = list(g.adjacency)
+def _max_matching_mates(g: Graph, alive: list[bool] | None = None) -> list[int]:
+    adj = g.adjacency
     if alive is None:
         alive = [True] * g.n
-    if mate is None:
-        mate = [-1] * g.n
-        _greedy_init(adj, alive, mate)
+    mate = [-1] * g.n
+    _greedy_init(adj, alive, mate)
     for v in range(g.n):
         if alive[v] and mate[v] < 0:
             _augment_from(adj, alive, mate, v)
@@ -224,29 +233,6 @@ def maximum_matching(g: Graph) -> Matching:
     return Matching(tuple(sorted(edge_key(v, mate[v]) for v in range(g.n) if mate[v] > v)))
 
 
-def _inessential_vertices(g: Graph, alive: list[bool]) -> list[int]:
-    """Vertices missed by at least one maximum matching of g[alive]."""
-    mate = _max_matching_mates(g, alive=list(alive))
-    out = []
-    for v in range(g.n):
-        if not alive[v]:
-            continue
-        if mate[v] < 0:
-            out.append(v)
-            continue
-        # drop v; its mate is freed, and one augmentation attempt per free
-        # vertex decides whether the matching size recovers
-        sub_alive = list(alive)
-        sub_alive[v] = False
-        trial = list(mate)
-        trial[mate[v]] = -1
-        trial[v] = -1
-        free = [u for u in range(g.n) if sub_alive[u] and trial[u] < 0]
-        if any(_augment_from(list(g.adjacency), sub_alive, list(trial), u) for u in free):
-            out.append(v)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # extension and barriers
 
@@ -255,21 +241,23 @@ def extend_matching(g: Graph, matching: Matching) -> ExtensionResult:
     """Decide whether ``matching`` extends to a perfect matching of ``g``.
 
     Succeeds iff G - V(M) has a perfect matching; otherwise returns a
-    barrier certificate with S taken as the Gallai-Edmonds cut set of
-    G - V(M).
+    barrier certificate with S the Gallai-Edmonds set A(G - V(M)), read off
+    one exhausted search per exposed vertex (module docstring).
     """
     if g.n % 2 != 0:
         raise ValueError("matching extension requires a graph of even order")
     Matching.of(g, matching.edges)  # re-validate against this host
     covered = matching.covered
     alive = [v not in covered for v in range(g.n)]
-    mate = _max_matching_mates(g, alive=list(alive))
+    mate = _max_matching_mates(g, alive)
     missed = [v for v in range(g.n) if alive[v] and mate[v] < 0]
     if not missed:
         extra = [edge_key(v, mate[v]) for v in range(g.n) if alive[v] and mate[v] > v]
         full = Matching(tuple(sorted(matching.edges + tuple(extra))))
         return ExtensionResult("extended", perfect_matching=full)
-    inessential = set(_inessential_vertices(g, alive))
+    inessential = set()
+    for v in missed:
+        inessential.update(_augment_from(g.adjacency, alive, mate, v))
     cut = sorted(
         {
             w
@@ -374,14 +362,7 @@ def is_distance_d_matching(g: Graph, matching: Matching, d: int) -> bool:
     """True iff every pair of distinct matching edges is at distance >= d."""
     if d < 0:
         raise ValueError("d must be nonnegative")
-    if d == 0:
-        return True
-    edges = matching.edges
-    for i in range(len(edges)):
-        for j in range(i + 1, len(edges)):
-            if edge_distance(g, edges[i], edges[j]) < d:
-                return False
-    return True
+    return d == 0 or matching_distance(g, matching) >= d
 
 
 def matching_distance(g: Graph, matching: Matching) -> float:

@@ -1,7 +1,8 @@
 """Independent brute-force oracles used to pin expected values.
 
 Everything here is deliberately written from the definitions, without
-reusing the library's search strategies: matchings by exhaustive recursion,
+reusing the library's search strategies: matchings by exhaustive recursion
+(and the Gallai-Edmonds barrier by deleting one vertex at a time),
 cyclic cuts by scanning edge subsets in increasing size (with an exhaustive
 vertex-bipartition scan deciding existence, since subset scanning alone
 cannot terminate on an infinite answer), ear packings by enumerating all
@@ -31,6 +32,18 @@ def brute_max_matching(g: Graph) -> int:
 
     rec(0, frozenset(), 0)
     return best
+
+
+def gallai_edmonds_barrier(g: Graph) -> frozenset[int]:
+    """A(G) = N(D) - D, where D holds the vertices some maximum matching
+    misses: v is in D iff deleting v leaves the maximum matching size as is."""
+    size = brute_max_matching(g)
+    d = {
+        v
+        for v in range(g.n)
+        if brute_max_matching(Graph(g.n, [e for e in g.edges() if v not in e])) == size
+    }
+    return frozenset(w for v in d for w in g.adjacency[v]) - d
 
 
 def _component_data(n: int, edge_list: list[tuple[int, int]]) -> list[tuple[list[int], int]]:

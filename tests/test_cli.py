@@ -123,7 +123,8 @@ class TestLambdaVerb:
 
     # output recorded with the restricted-cut engine: one host whose cuts
     # come from the engine (lambda_oc from the same cut), the n=26 host
-    # exact at the budget that once capped it, and a factor that caps it
+    # exact at the budget that once capped it, and a factor that caps it (the
+    # capped lambda_oc keeps the odd-sided 4-edge cut of the capped lambda_c)
     @pytest.mark.parametrize(
         "n, seed, budget, odd, code, expected",
         [
@@ -132,6 +133,7 @@ class TestLambdaVerb:
             (26, 8, "0.01", False, 0, '{"F":[[1,16],[6,19],[8,24],[12,17]],"cycle_a":[1,8,17,19],"cycle_b":[2,14,23,24],"odd":false,"schema":1,"side_a":[1,8,17,19],"value":4}'),
             (26, 8, "0.01", True, 0, '{"F":[[1,16],[6,19],[8,24],[12,17]],"cycle_a":[16,5,3,11,22],"cycle_b":[1,8,17,19],"odd":true,"schema":1,"side_a":[0,2,3,4,5,6,7,9,10,11,12,13,14,15,16,18,20,21,22,23,24,25],"value":4}'),
             (26, 8, "0.00001", False, 2, '{"schema":1,"upper_bound":4,"value":null}'),
+            (26, 8, "0.00001", True, 2, '{"schema":1,"upper_bound":4,"value":null}'),
         ],
     )
     def test_pinned_output(self, capsys, monkeypatch, tmp_path, n, seed, budget, odd, code, expected):

@@ -421,15 +421,6 @@ class TestRestrictedCuts:
         assert value.value == 7 == _lambda_search(g, DEFAULT_BUDGET, odd=False).value
         assert len(value.certificate.side_a) < engine.s and _certified(g, value, odd=False)
 
-    def test_length_limited_enumeration_is_not_complete(self):
-        # cycles longer than the limit may be missing: the restricted search
-        # answers where it applies, and the pair search alone stays unknown
-        limited = SearchBudget(max_cycle_len=4)
-        assert cyclic_edge_connectivity(petersen_graph(), limited).value == 5
-        k4 = Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
-        with pytest.raises(InexactSearchError):
-            cyclic_edge_connectivity(_joined(k4, petersen_graph(), 0), limited)
-
     @pytest.mark.parametrize("build", [smallest_sharpness_i, smallest_counterexample])
     def test_construction_hosts_settle(self, build):
         # both once kept an upper bound above 4 under the verify budget; the
@@ -441,6 +432,18 @@ class TestRestrictedCuts:
         with pytest.raises(InexactSearchError) as err:
             cyclic_edge_connectivity(g, tiny)
         assert err.value.upper_bound == 4
+        assert verify_cut(g, err.value.certificate, require_odd=False)
+
+    def test_capped_odd_keeps_odd_sided_cut(self):
+        # the capped lambda_c search holds a 4-edge cut with a non-bipartite
+        # side; the capped odd pair search alone only finds a 13-edge cut
+        g = random_regular(26, 3, seed=8)
+        capped = DEFAULT_BUDGET.scaled(0.00001)
+        with pytest.raises(InexactSearchError) as err:
+            odd_cyclic_edge_connectivity(g, capped)
+        cert = err.value.certificate
+        assert err.value.upper_bound == len(cert.F) == 4
+        assert verify_cut(g, cert, require_odd=True)
 
     @pytest.mark.parametrize("seed, n, lam_oc", [(9, 10, 5), (11, 16, 4)])
     def test_odd_gap_when_both_sides_are_bipartite(self, seed, n, lam_oc):

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 
 import pytest
@@ -22,9 +24,9 @@ from earpack.catalog import (
     random_bipartite_regular,
     tutte_coxeter_graph,
 )
-from earpack.harness import random_regular
+from earpack.harness import distance3_matchings, random_regular
 
-from oracles import brute_max_matching
+from oracles import brute_max_matching, gallai_edmonds_barrier
 
 
 def k4():
@@ -125,6 +127,81 @@ class TestExtension:
                 verdict = verify_barrier(g, m, res.barrier)
                 assert verdict, verdict.reason
         assert seen_blocked > 10
+
+
+class TestGallaiEdmondsBarrier:
+    def test_barrier_is_gallai_edmonds_set(self):
+        rng = random.Random(31)
+        blocked = nonempty = 0
+        for _ in range(1200):
+            g = random_graph(rng, n_max=14)
+            if g.n % 2 or not g.edges():
+                continue
+            m = random_matching(rng, g, rng.randrange(0, 3))
+            res = extend_matching(g, m)
+            if res.extended:
+                continue
+            blocked += 1
+            h, back = induced_subgraph(g, frozenset(range(g.n)) - m.covered)
+            expected = frozenset(back[v] for v in gallai_edmonds_barrier(h))
+            assert res.barrier.S == expected
+            nonempty += bool(expected)
+        assert blocked > 250 and nonempty > 50
+
+
+def blocking_matchings(g, count):
+    """Match the neighbours of a vertex away from it, for the first ``count``
+    vertices where that works; each leaves its vertex isolated in G - V(M)."""
+    out = []
+    for v in range(g.n):
+        used, pairs = set(g.adjacency[v]) | {v}, []
+        for a in g.adjacency[v]:
+            partner = next((b for b in g.adjacency[a] if b not in used), None)
+            if partner is None:
+                break
+            used.add(partner)
+            pairs.append((a, partner))
+        else:
+            out.append(Matching.of(g, pairs))
+            if len(out) == count:
+                return out
+    return out
+
+
+def extension_digest(n, seed):
+    """sha256 over the extend_matching results of two blocking, two random
+    and three distance-3 matchings on random_regular(n, 3, seed)."""
+    g = random_regular(n, 3, seed=seed)
+    rng = random.Random(seed)
+    matchings = (
+        blocking_matchings(g, 2)
+        + [random_matching(rng, g, n // 10) for _ in range(2)]
+        + distance3_matchings(g, cap=3, seed=seed)
+    )
+    h = hashlib.sha256()
+    for m in matchings:
+        res = extend_matching(g, m)
+        if res.extended:
+            payload = {"perfect_matching": [list(e) for e in res.perfect_matching.edges]}
+        else:
+            payload = {"barrier": res.barrier.to_json_dict()}
+        h.update(json.dumps(payload, sort_keys=True).encode())
+    return h.hexdigest()
+
+
+class TestExtensionPins:
+    # digests recorded before the barrier was read off the blossom search
+    @pytest.mark.parametrize(
+        "n, seed, digest",
+        [
+            (250, 1, "168ca71b47d00fd466dc616628446f8ade8dae4f8a320f2625ba32231e16aca9"),
+            (250, 2, "27bee951225f0586f13c2424705bb3b8c1231e5e764c2149043163946bcba9ff"),
+            (500, 1, "ab98446a6b62719835c18833c23da26bcb69c1e20b418dddaed06531c670383b"),
+            (500, 2, "3305f800949229383b6bdda61f1fd4e5ea54af9f43f796f54852d2e7ae1977b1"),
+        ],
+    )
+    def test_pinned_results(self, n, seed, digest):
+        assert extension_digest(n, seed) == digest
 
 
 class TestBarrier:

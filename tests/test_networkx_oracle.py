@@ -1,5 +1,6 @@
-"""networkx as an independent oracle for chordless cycles, min cuts and
-disjoint path counts (skipped when networkx is not installed)."""
+"""networkx as an independent oracle for chordless cycles, min cuts,
+disjoint path counts and the Gallai-Edmonds barrier (skipped when networkx
+is not installed)."""
 
 import random
 
@@ -9,6 +10,7 @@ from earpack._flow import edge_disjoint_paths, max_vertex_disjoint_paths
 from earpack.connectivity import min_cut_between
 from earpack.graphs import chordless_cycles
 from earpack.harness import random_regular
+from earpack.matching import Matching, extend_matching
 
 nx = pytest.importorskip("networkx")
 
@@ -114,3 +116,43 @@ def test_vertex_disjoint_path_counts_match_networkx():
         aux = with_terminals(to_nx(g), a, b)
         expected = len(list(nx.node_disjoint_paths(aux, "s", "t")))
         assert max_vertex_disjoint_paths(g, a, b) == expected
+
+
+def blocked_cases():
+    """Random matchings of up to n/4 edges on random cubic hosts up to
+    n = 60 that do not extend, two per host."""
+    rng = random.Random(5)
+    for n in range(12, 61, 12):
+        for seed in (1, 2):
+            g = random_regular(n, 3, seed=9000 + 10 * n + seed)
+            found = 0
+            while found < 2:
+                pool = list(g.edges())
+                rng.shuffle(pool)
+                k = rng.randint(2, n // 4)
+                chosen, used = [], set()
+                for u, v in pool:
+                    if u not in used and v not in used and len(chosen) < k:
+                        chosen.append((u, v))
+                        used.update((u, v))
+                m = Matching.of(g, chosen)
+                res = extend_matching(g, m)
+                if not res.extended:
+                    found += 1
+                    yield g, m, res.barrier
+
+
+def test_barrier_is_networkx_gallai_edmonds_set():
+    def size(h):
+        return len(nx.max_weight_matching(h, maxcardinality=True))
+
+    nonempty = 0
+    for g, m, barrier in blocked_cases():
+        h = to_nx(g)
+        h.remove_nodes_from(m.covered)
+        full = size(h)
+        d = {v for v in h if size(nx.restricted_view(h, [v], [])) == full}
+        expected = {w for v in d for w in h[v]} - d
+        assert barrier.S == expected, g.n
+        nonempty += bool(expected)
+    assert nonempty >= 10
