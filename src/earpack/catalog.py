@@ -26,7 +26,7 @@ from .graphs import (
     girth,
     is_regular,
 )
-from .matching import Matching, is_distance_d_matching
+from .matching import Matching, greedy_spaced_matching, is_distance_d_matching
 
 
 # ---------------------------------------------------------------------------
@@ -210,6 +210,23 @@ def _audit_deficient(g: Graph, removed: list[tuple[int, int]], r: int) -> None:
             raise AssertionError(f"degree audit failed at vertex {v}")
 
 
+def _deficient_base(
+    source: Graph, removed: list[tuple[int, int]], r: int, lambda_budget: SearchBudget | None
+) -> DeficientBipartiteBase:
+    """``source`` minus the matching ``removed``, deficient sides in its order."""
+    strip = Matching.of(source, removed)
+    black, _ = bipartition(source)
+    stripped = Graph(source.n, [e for e in source.edges() if e not in strip.edges])
+    _audit_deficient(stripped, removed, r)
+    return DeficientBipartiteBase(
+        graph=stripped,
+        side_b_deficient=tuple(u if u in black else v for u, v in removed),
+        side_w_deficient=tuple(v if u in black else u for u, v in removed),
+        r=r,
+        measured=_measure(stripped, removed, lambda_budget),
+    )
+
+
 def _measure(
     g: Graph, removed: list[tuple[int, int]], lambda_budget: SearchBudget | None
 ) -> dict:
@@ -256,22 +273,9 @@ def gamma_base(
     removed = [
         (cycle[i * (d + 2)], cycle[(i * (d + 2) + 1) % length]) for i in range(ell)
     ]
-    strip = Matching.of(base, removed)
-    if ell > 1 and not is_distance_d_matching(base, strip, d + 1):
+    if ell > 1 and not is_distance_d_matching(base, Matching.of(base, removed), d + 1):
         raise AssertionError("spaced matching misses its own distance bound")
-    black, _ = bipartition(base)
-    remaining = [e for e in base.edges() if e not in strip.edges]
-    stripped = Graph(base.n, remaining)
-    _audit_deficient(stripped, removed, r)
-    side_b = tuple(u if u in black else v for u, v in removed)
-    side_w = tuple(v if u in black else u for u, v in removed)
-    return DeficientBipartiteBase(
-        graph=stripped,
-        side_b_deficient=side_b,
-        side_w_deficient=side_w,
-        r=r,
-        measured=_measure(stripped, removed, lambda_budget),
-    )
+    return _deficient_base(base, removed, r, lambda_budget)
 
 
 def strip_matching_base(
@@ -295,41 +299,15 @@ def strip_matching_base(
         raise ValueError("source must be regular")
     if bipartition(source) is None:
         raise ValueError("source must be bipartite")
-    dist = [bfs_distances(source, [v]) for v in range(source.n)]
     rng = random.Random(seed)
     edges = list(source.edges())
     for _ in range(tries):
         rng.shuffle(edges)
-        chosen: list[tuple[int, int]] = []
-        taken: set[int] = set()
-        for u, v in edges:
-            if any(
-                dist[u][w] < min_separation or dist[v][w] < min_separation
-                for w in taken
-            ):
-                continue
-            chosen.append((u, v))
-            taken.update((u, v))
-            if len(chosen) == ell:
-                break
+        chosen = greedy_spaced_matching(source, edges, min_separation, limit=ell)
         if len(chosen) == ell:
             break
     else:
         raise RuntimeError(
             f"no {ell}-matching with separation {min_separation} found in {tries} shuffles"
         )
-    chosen.sort()
-    strip = Matching.of(source, chosen)
-    black, _ = bipartition(source)
-    remaining = [e for e in source.edges() if e not in strip.edges]
-    stripped = Graph(source.n, remaining)
-    _audit_deficient(stripped, chosen, r)
-    side_b = tuple(u if u in black else v for u, v in chosen)
-    side_w = tuple(v if u in black else u for u, v in chosen)
-    return DeficientBipartiteBase(
-        graph=stripped,
-        side_b_deficient=side_b,
-        side_w_deficient=side_w,
-        r=r,
-        measured=_measure(stripped, chosen, lambda_budget),
-    )
+    return _deficient_base(source, sorted(chosen), r, lambda_budget)

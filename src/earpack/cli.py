@@ -20,6 +20,7 @@ from .budget import DEFAULT_BUDGET, SearchBudget
 from .catalog import random_bipartite_regular, strip_matching_base
 from .connectivity import (
     InexactSearchError,
+    _connectivity_outcomes,
     cyclic_edge_connectivity,
     odd_cyclic_edge_connectivity,
 )
@@ -113,12 +114,12 @@ def _cmd_analyze(args) -> int:
         "girth": _jsonable(girth(g)),
         "bipartite": bipartition(g) is not None,
     }
-    for key, solver in (("lambda_c", cyclic_edge_connectivity), ("lambda_oc", odd_cyclic_edge_connectivity)):
-        try:
-            payload[key] = _jsonable(solver(g, budget).value)
-        except InexactSearchError as exc:
+    for key, outcome in zip(("lambda_c", "lambda_oc"), _connectivity_outcomes(g, budget)):
+        if isinstance(outcome, InexactSearchError):
             payload[key] = None
-            payload[key + "_upper"] = _jsonable(exc.upper_bound)
+            payload[key + "_upper"] = _jsonable(outcome.upper_bound)
+        else:
+            payload[key] = _jsonable(outcome.value)
     _emit(payload, args.out)
     return EXIT_OK
 

@@ -185,17 +185,42 @@ def odd_cyclic_edge_connectivity(g: Graph, budget: SearchBudget = DEFAULT_BUDGET
     """
     if bipartition(g) is not None:
         return ConnectivityValue(INF)
+    odd = _connectivity_outcomes(g, budget)[1]
+    if isinstance(odd, InexactSearchError):
+        raise odd
+    return odd
+
+
+_Outcome = ConnectivityValue | InexactSearchError
+
+
+def _connectivity_outcomes(g: Graph, budget: SearchBudget) -> tuple[_Outcome, _Outcome]:
+    """(lambda_c, lambda_oc) from one lambda_c search: each is the value,
+    or the error of the search that hit a cap."""
+    lam = _outcome(_lambda_c, g, budget)
+    return lam, _outcome(_odd_given, g, budget, lam)
+
+
+def _outcome(search, *args) -> _Outcome:
     try:
-        lam = _lambda_c(g, budget)
-    except InexactSearchError as capped:
-        held = _odd_sided(g, capped.certificate)
+        return search(*args)
+    except InexactSearchError as exc:
+        return exc
+
+
+def _odd_given(g: Graph, budget: SearchBudget, lam: _Outcome) -> ConnectivityValue:
+    """lambda_oc from the lambda_c outcome ``lam`` (module docstring)."""
+    if bipartition(g) is not None:
+        return ConnectivityValue(INF)
+    if isinstance(lam, InexactSearchError):
+        held = _odd_sided(g, lam.certificate)
         try:
             return _lambda_search(g, budget, odd=True)
         except InexactSearchError as exc:
-            if held is None or exc.upper_bound <= capped.upper_bound:
+            if held is None or exc.upper_bound <= lam.upper_bound:
                 raise
             raise InexactSearchError(
-                "odd-cyclic cut search: cap exceeded", capped.upper_bound, held
+                "odd-cyclic cut search: cap exceeded", lam.upper_bound, held
             ) from exc
     if lam.certificate is None:  # no two disjoint cycles
         return lam

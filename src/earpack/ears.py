@@ -275,32 +275,58 @@ def _pack_branch_and_bound(
 
     nodes = 0
 
-    def search(idx: int, used: int, chosen: list[int]) -> bool:
-        """True aborts the whole search: target met or node budget spent."""
-        nonlocal nodes, best
-        nodes += 1
-        if nodes > node_budget:
-            return True
-        if len(chosen) > len(best):
-            best = list(chosen)
-            if target is not None and len(best) >= target:
-                return True
-        if len(chosen) + slot_bound(used) <= len(best):
-            return False
-        remaining = sum(1 for j in range(idx, len(masks)) if masks[j] & used == 0)
-        if len(chosen) + remaining <= len(best):
-            return False
-        for i in range(idx, len(masks)):
-            if masks[i] & used == 0:
-                chosen.append(i)
-                if search(i + 1, used | masks[i], chosen):
-                    return True
-                chosen.pop()
-                if len(chosen) + slot_bound(used) <= len(best):
-                    return False
-        return False
+    def search() -> bool:
+        """Depth-first over ears in index order; True aborts the whole
+        search: target met or node budget spent.
 
-    stopped_early = search(0, 0, [])
+        ``chosen`` holds the ears on the current path.  Each node on it that
+        passed its bounds keeps a frame [used edges, next ear to try]; a
+        node whose bounds fail, or whose ears run out, returns to its parent,
+        which re-checks the slot bound before trying its next ear.
+        """
+        nonlocal nodes, best
+        chosen: list[int] = []
+        stack: list[list[int]] = []
+        idx = used = 0
+        while True:
+            # visit a node: the ears in chosen, candidates from idx on
+            nodes += 1
+            if nodes > node_budget:
+                return True
+            if len(chosen) > len(best):
+                best = list(chosen)
+                if target is not None and len(best) >= target:
+                    return True
+            returned = True
+            if len(chosen) + slot_bound(used) > len(best):
+                remaining = sum(1 for m in masks[idx:] if not m & used)
+                if len(chosen) + remaining > len(best):
+                    stack.append([used, idx])
+                    returned = False
+            # climb until a frame on the path has an ear left to try
+            while stack:
+                frame = stack[-1]
+                used = frame[0]
+                if returned:
+                    chosen.pop()
+                    if len(chosen) + slot_bound(used) <= len(best):
+                        stack.pop()
+                        continue
+                for i in range(frame[1], len(masks)):
+                    if not masks[i] & used:
+                        break
+                else:
+                    stack.pop()
+                    returned = True
+                    continue
+                frame[1] = i + 1
+                chosen.append(i)
+                idx, used = i + 1, used | masks[i]
+                break
+            else:
+                return False
+
+    stopped_early = search()
     return best, nodes, not stopped_early
 
 

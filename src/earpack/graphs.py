@@ -119,10 +119,6 @@ class CycleList:
     cycles: tuple[tuple[int, ...], ...]
     truncated: bool
 
-    def parities(self) -> tuple[bool, ...]:
-        """True entries mark odd cycles."""
-        return tuple(len(c) % 2 == 1 for c in self.cycles)
-
 
 # ---------------------------------------------------------------------------
 # serialization

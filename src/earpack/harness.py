@@ -20,11 +20,7 @@ from typing import Iterable, Sequence
 from . import __version__
 from .budget import DEFAULT_BUDGET, SearchBudget
 from .catalog import random_bipartite_regular
-from .connectivity import (
-    InexactSearchError,
-    cyclic_edge_connectivity,
-    odd_cyclic_edge_connectivity,
-)
+from .connectivity import InexactSearchError, _connectivity_outcomes
 from .ears import max_odd_ear_packing
 from .graphs import (
     INF,
@@ -41,6 +37,7 @@ from .matching import (
     Matching,
     boundary_identity_sides,
     extend_matching,
+    greedy_spaced_matching,
     heavy_neighbor_exists,
     is_distance_d_matching,
 )
@@ -144,14 +141,10 @@ def _lambda_pair(g: Graph, budget: SearchBudget) -> tuple[float | None, float | 
 
     Cached: sweeps evaluate many matchings against the same host graph.
     """
-    try:
-        lam_c = cyclic_edge_connectivity(g, budget).value
-    except InexactSearchError:
-        lam_c = None
-    try:
-        lam_oc = odd_cyclic_edge_connectivity(g, budget).value
-    except InexactSearchError:
-        lam_oc = None
+    lam_c, lam_oc = (
+        None if isinstance(o, InexactSearchError) else o.value
+        for o in _connectivity_outcomes(g, budget)
+    )
     return lam_c, lam_oc
 
 
@@ -464,7 +457,7 @@ def _isomorphic(g1: Graph, g2: Graph) -> bool:
                     break
             if ok:
                 mapped_neighbors = sum(1 for x in g1.adjacency[v] if mapping[x] >= 0)
-                back = sum(1 for y in g2.adjacency[w] if y in _used_set())
+                back = sum(1 for y in g2.adjacency[w] if used[y])
                 if mapped_neighbors != back:
                     continue
                 mapping[v] = w
@@ -474,9 +467,6 @@ def _isomorphic(g1: Graph, g2: Graph) -> bool:
                 mapping[v] = -1
                 used[w] = False
         return False
-
-    def _used_set():
-        return {mapping[x] for x in range(n) if mapping[x] >= 0}
 
     return extend(0)
 
@@ -491,11 +481,6 @@ def distance3_matchings(
     """Up to ``cap`` maximal distance-3 matchings of size >= min_size,
     collected from seeded greedy passes over shuffled edge orders."""
     rng = random.Random(seed)
-    dist = [bfs_distances(g, [v]) for v in range(g.n)]
-
-    def edge_far(e, f) -> bool:
-        return min(dist[a][b] for a in e for b in f) >= 3
-
     edges = list(g.edges())
     seen: set[frozenset] = set()
     out: list[Matching] = []
@@ -503,10 +488,7 @@ def distance3_matchings(
     while len(out) < cap and attempts < cap * 4:
         attempts += 1
         rng.shuffle(edges)
-        chosen: list[tuple[int, int]] = []
-        for e in edges:
-            if all(edge_far(e, f) for f in chosen):
-                chosen.append(e)
+        chosen = greedy_spaced_matching(g, edges, 3)
         key = frozenset(chosen)
         if len(chosen) >= min_size and key not in seen:
             seen.add(key)

@@ -375,6 +375,30 @@ def matching_distance(g: Graph, matching: Matching) -> float:
     return best
 
 
+def greedy_spaced_matching(
+    g: Graph, edges: Iterable[Edge], d: int, limit: int | None = None
+) -> list[Edge]:
+    """Keep each of ``edges`` in turn whose ends lie at distance >= d from
+    every end kept so far, up to ``limit`` edges: an edge is kept iff neither
+    end is marked, and keeping it marks its radius-(d - 1) BFS ball."""
+    if d < 1:
+        raise ValueError("the separation d must be at least 1")
+    marked: set[int] = set()
+    chosen: list[Edge] = []
+    for e in edges:
+        if marked.isdisjoint(e):
+            chosen.append(e)
+            if len(chosen) == limit:
+                break
+            # a fresh ball: a vertex marked by another ball may lead to unmarked ones
+            ball = frontier = set(e)
+            for _ in range(d - 1):
+                frontier = {w for v in frontier for w in g.adjacency[v]} - ball
+                ball |= frontier
+            marked |= ball
+    return chosen
+
+
 def heavy_neighbor_exists(g: Graph, matching: Matching, r: int) -> int | None:
     """Lowest vertex outside V(M) with at least r-1 neighbors in V(M)."""
     covered = matching.covered

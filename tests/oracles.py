@@ -6,7 +6,8 @@ reusing the library's search strategies: matchings by exhaustive recursion
 cyclic cuts by scanning edge subsets in increasing size (with an exhaustive
 vertex-bipartition scan deciding existence, since subset scanning alone
 cannot terminate on an infinite answer), ear packings by enumerating all
-ears and recursing over the ear list.
+ears and recursing over the ear list, and spaced matchings from a table of
+all pairwise distances.
 """
 
 from __future__ import annotations
@@ -239,6 +240,35 @@ def brute_max_odd_ear_packing(g: Graph, U: frozenset[int]) -> int:
 
     rec(0, frozenset(), 0)
     return best
+
+
+def spaced_matching_reference(
+    g: Graph, edges: list[tuple[int, int]], d: int, limit: int | None = None
+) -> list[tuple[int, int]]:
+    """The greedy spaced matching from an all-pairs distance table: keep
+    each edge, in order, whose ends are at distance >= d from every end kept
+    so far; stop once ``limit`` edges are kept."""
+    dist = []
+    for source in range(g.n):
+        row = [INF] * g.n
+        row[source] = 0
+        queue = [source]
+        for v in queue:
+            for w in g.adjacency[v]:
+                if row[w] == INF:
+                    row[w] = row[v] + 1
+                    queue.append(w)
+        dist.append(row)
+    chosen: list[tuple[int, int]] = []
+    taken: list[int] = []
+    for u, v in edges:
+        if any(dist[u][w] < d or dist[v][w] < d for w in taken):
+            continue
+        chosen.append((u, v))
+        taken += [u, v]
+        if len(chosen) == limit:
+            break
+    return chosen
 
 
 def encode_graph6_reference(g: Graph) -> bytes:

@@ -5,7 +5,9 @@ import random
 import pytest
 
 from earpack._flow import edge_disjoint_paths, max_vertex_disjoint_paths
+import earpack.cli as cli
 import earpack.connectivity as connectivity
+import earpack.harness as harness
 from earpack.budget import DEFAULT_BUDGET, SearchBudget
 from earpack.connectivity import (
     InexactSearchError,
@@ -25,6 +27,7 @@ from earpack.graphs import (
     connected_components,
     cycle_edges,
     induced_subgraph,
+    serialize_graph,
     shortest_cycle,
 )
 from earpack.catalog import (
@@ -406,6 +409,37 @@ class TestRestrictedCuts:
         calls.clear()
         assert cyclic_edge_connectivity(prism_graph(24)).value == 4
         assert len(calls) == 71
+
+    @pytest.mark.parametrize(
+        "g, budget",
+        [
+            pytest.param(petersen_graph(), DEFAULT_BUDGET, id="petersen"),
+            pytest.param(prism_graph(5), DEFAULT_BUDGET, id="prism5"),
+            pytest.param(random_regular(12, 5, seed=1), DEFAULT_BUDGET, id="r5n12"),
+            pytest.param(random_regular(12, 5, seed=1), SearchBudget(max_cut_pairs=3), id="r5n12-capped"),
+        ],
+    )
+    def test_one_lambda_c_search_per_host(self, monkeypatch, tmp_path, g, budget):
+        calls = []
+
+        def counting(*args):
+            calls.append(1)
+            return real(*args)
+
+        real = connectivity._lambda_c
+        monkeypatch.setattr(connectivity, "_lambda_c", counting)
+        lam_c, lam_oc = harness._lambda_pair.__wrapped__(g, budget)
+        assert len(calls) == 1
+        if budget is not DEFAULT_BUDGET:
+            assert (lam_c, lam_oc) == (None, None)
+            return
+        calls.clear()
+        path = tmp_path / "host.g6"
+        path.write_bytes(serialize_graph(g, "graph6") + b"\n")
+        assert cli.main(["analyze", str(path), "--out", str(tmp_path / "out.json")]) == 0
+        assert len(calls) == 1
+        payload = json.loads((tmp_path / "out.json").read_text())
+        assert (payload["lambda_c"], payload["lambda_oc"]) == (lam_c, lam_oc)
 
     def test_small_side_decides_on_a_dense_host(self):
         # non-regular: the shortest cycles through vertices give U = 9 and

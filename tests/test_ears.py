@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -127,6 +128,20 @@ class TestExactPacking:
         starved = SearchBudget(max_ears=3, max_bb_nodes=1)
         res = max_odd_ear_packing(g, [0, 1, 2, 3], target=50, budget=starved)
         assert res.status == "budget"
+
+    def test_deep_search_runs_at_a_low_recursion_limit(self):
+        # hundreds of ears on one search path: the branch and bound keeps its
+        # path on an explicit stack, not the interpreter's
+        g = random_regular(400, 3, seed=1)
+        u = random.Random(2).sample(range(400), 200)
+        budget = SearchBudget(max_ears=5000, max_bb_nodes=300)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(100)
+        try:
+            res = max_odd_ear_packing(g, u, budget=budget)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert (res.status, res.packing.k) == ("budget", 205)
 
     def test_target_met_stops_early(self):
         h = heawood_graph()

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 
 import pytest
@@ -16,7 +18,7 @@ from earpack.harness import (
     random_regular,
 )
 from earpack.matching import Matching, extend_matching
-from earpack.catalog import cycle_graph, heawood_graph
+from earpack.catalog import cycle_graph, heawood_graph, random_bipartite_regular
 
 
 def torus_grid(a: int, b: int) -> Graph:
@@ -306,3 +308,39 @@ class TestSweep:
         assert summary.inconsistent == 0
         assert summary.flow_bound_violations == 0
         assert summary.flow_bound_checked == summary.matchings_checked
+
+
+def matchings_digest(g, seed):
+    found = distance3_matchings(g, cap=8, seed=seed)
+    payload = json.dumps([[list(e) for e in m.edges] for m in found])
+    return hashlib.sha256(payload.encode()).hexdigest()[:16]
+
+
+class TestDistance3Pins:
+    # digests recorded when each greedy pass read an all-pairs distance table
+    @pytest.mark.parametrize(
+        "n, r, seed, digest",
+        [
+            (12, 3, 1, "25d2dbf7ae3bdfb9"),
+            (20, 3, 2, "cb487501182ad1ce"),
+            (100, 3, 1, "7fe66541f1c7a4c2"),
+            (250, 3, 3, "12212f6da4afa17f"),
+            (1000, 3, 1, "453d7a3832207099"),
+            (30, 4, 1, "36abef6040970c99"),
+            (200, 4, 2, "c3688a1cddf12ac1"),
+            (40, 5, 1, "c1aa27c5ff341fd5"),
+        ],
+    )
+    def test_random_regular_hosts(self, n, r, seed, digest):
+        assert matchings_digest(random_regular(n, r, seed=seed), seed) == digest
+
+    @pytest.mark.parametrize(
+        "side, r, seed, digest",
+        [
+            (10, 3, 1, "8873bb41a6a28182"),
+            (60, 3, 2, "6b48ba7b70f75cd1"),
+            (150, 4, 1, "59d27c4c3955121d"),
+        ],
+    )
+    def test_bipartite_hosts(self, side, r, seed, digest):
+        assert matchings_digest(random_bipartite_regular(side, r, seed=seed), seed) == digest

@@ -11,6 +11,7 @@ from earpack.matching import (
     build_barrier,
     boundary_identity_sides,
     extend_matching,
+    greedy_spaced_matching,
     heavy_neighbor_exists,
     is_distance_d_matching,
     matching_distance,
@@ -26,7 +27,7 @@ from earpack.catalog import (
 )
 from earpack.harness import distance3_matchings, random_regular
 
-from oracles import brute_max_matching, gallai_edmonds_barrier
+from oracles import brute_max_matching, gallai_edmonds_barrier, spaced_matching_reference
 
 
 def k4():
@@ -187,6 +188,30 @@ def extension_digest(n, seed):
             payload = {"barrier": res.barrier.to_json_dict()}
         h.update(json.dumps(payload, sort_keys=True).encode())
     return h.hexdigest()
+
+
+class TestGreedySpacedMatching:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_agrees_with_the_all_pairs_greedy(self, seed):
+        rng = random.Random(seed)
+        hosts = [
+            random_regular(rng.choice((12, 20, 30, 40)), rng.choice((3, 4)), seed=seed),
+            random_bipartite_regular(rng.choice((6, 10, 15)), rng.choice((3, 4)), seed=seed),
+            random_graph(rng, n_max=16),  # possibly disconnected
+        ]
+        for g in hosts:
+            edges = list(g.edges())
+            for d in range(1, 5):
+                for limit in (None, 1, 3):
+                    rng.shuffle(edges)
+                    assert greedy_spaced_matching(g, edges, d, limit) == spaced_matching_reference(
+                        g, edges, d, limit
+                    ), (g, d, limit)
+
+    @pytest.mark.parametrize("d", [0, -1])
+    def test_separation_below_one_rejected(self, d):
+        with pytest.raises(ValueError, match="at least 1"):
+            greedy_spaced_matching(k4(), k4().edges(), d)
 
 
 class TestExtensionPins:
