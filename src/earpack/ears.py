@@ -3,8 +3,11 @@
 An ear of U is a path with both ends (and no interior vertex) in U, or a
 cycle meeting U in exactly one vertex; it is odd when its edge count is odd.
 ``max_odd_ear_packing`` is the one entry point.  On a bipartite host it
-answers by max flow; on any other host it runs a branch and bound over
-enumerated ears, capped by a ``SearchBudget``.
+answers by max flow; on any other host it runs a bit-parallel branch and
+bound over enumerated ears, capped by a ``SearchBudget``: ``max_ears``
+caps the enumeration, and ``max_bb_nodes`` caps the search nodes, each of
+which costs a constant number of big-int operations (see
+``_pack_branch_and_bound``), so it bounds the search time linearly.
 
 In a bipartite graph the flow answer is exactly optimal: every odd ear of
 U is itself a path from a black vertex of U to a white one (odd length
@@ -18,6 +21,8 @@ theorem's cases count.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 from typing import Iterable
 
 from ._flow import edge_disjoint_paths
@@ -144,6 +149,8 @@ def enumerate_odd_ears(
 
     Returns (ears, truncated).  Paths are emitted once (lower endpoint
     first); cycles once per direction class (second vertex below last).
+    ``truncated`` means that more than ``cap`` odd ears exist; the first
+    ``cap`` found are returned.  Exactly ``cap`` ears is a complete list.
     """
     u_set = frozenset(U)
     limit = g.n if max_len is None else max_len
@@ -167,7 +174,8 @@ def enumerate_odd_ears(
                         ear = Ear("path", path + (w,))
                         if ear.is_odd:
                             out.append(ear)
-                    if len(out) >= cap:
+                    if len(out) > cap:
+                        out.pop()
                         truncated = True
                         stack.clear()
                         break
@@ -190,7 +198,7 @@ def max_odd_ear_packing(
     a ``target`` the ear length is deepened iteratively and the search stops
     as soon as that many ears are packed (hypothesis checks only need the
     lower bound); without one the full-length search certifies a maximum,
-    budget permitting.
+    budget permitting.  The search time is linear in ``max_bb_nodes``.
     """
     u_set = frozenset(U)
     if not u_set:
@@ -232,102 +240,113 @@ def max_odd_ear_packing(
 def _pack_branch_and_bound(
     g: Graph, ears: tuple[Ear, ...], target: int | None, node_budget: int
 ) -> tuple[list[int], int, bool]:
-    """Maximize the number of disjoint ears; returns (best, nodes, complete)."""
-    edge_bit = {e: i for i, e in enumerate(g.edges())}
-    masks = []
-    for ear in ears:
-        m = 0
-        for e in ear.edge_set():
-            m |= 1 << edge_bit[e]
-        masks.append(m)
-    u_set = set()
+    """Maximize the number of disjoint ears; returns (best, nodes, complete).
+
+    Choosing disjoint ears is a maximum independent set in the ears'
+    conflict graph, searched bit-parallel (San Segundo et al., "An exact
+    bit-parallel algorithm for the maximum clique problem", Comput. Oper.
+    Res. 2011): ear j is bit j of an int, and ``on_edge[e]`` holds the ears
+    that use edge e, so choosing ear i clears the OR of ``on_edge`` over
+    i's edges.  The ears x ears conflict table is never built; memory stays
+    O(|E| x #ears) bits.
+
+    Two bounds prune a node; they fail when no more than ``best`` ears fit:
+    - ``remaining``: the popcount of the node's candidates, the ears after
+      the last one chosen that are disjoint from every chosen ear;
+    - the anchor slots.  An anchor is an end of a path ear or the U-vertex
+      of a cycle ear, and every ear fills exactly two anchor slots (an edge
+      at each path end, two cycle edges at the one anchor; an edge inside U
+      fills a slot at both of its ends), so at most (free slots) // 2 more
+      ears fit.  The chosen ears are pairwise edge-disjoint, so with
+      ``used`` the union of their edges
+
+          sum over anchors v of |delta(v) - used|
+              = sum over anchors v of deg(v) - sum over chosen ears of cost(ear),
+
+      where cost(ear) counts the ear's edge ends at anchors.  Each frame
+      keeps that ``slots`` sum, and a child subtracts one cost.
+
+    A node costs a constant number of big-int operations on #ears bits, plus
+    one per edge of the ear it adds; so ``node_budget`` bounds the time
+    linearly in the number of nodes.
+    """
+    anchors = set()
     for ear in ears:
         vs = ear.vertices
-        u_set.add(vs[0])
+        anchors.add(vs[0])
         if ear.kind == "path":
-            u_set.add(vs[-1])
-    anchor_masks = []
-    for v in sorted(u_set):
-        m = 0
-        for w in g.adjacency[v]:
-            m |= 1 << edge_bit[edge_key(v, w)]
-        anchor_masks.append(m)
+            anchors.add(vs[-1])
+    # on_edge[e]: bit j set iff ear j uses edge e, set byte-wise per edge
+    rows: dict[Edge, bytearray] = {}
+    width = len(ears) // 8 + 1
+    cost: list[int] = []
+    for j, ear in enumerate(ears):
+        byte, bit = j >> 3, 1 << (j & 7)
+        c = 0
+        for e in ear.edge_list():
+            row = rows.get(e)
+            if row is None:
+                row = rows[e] = bytearray(width)
+            row[byte] |= bit
+            c += (e[0] in anchors) + (e[1] in anchors)
+        cost.append(c)
+    on_edge = {e: int.from_bytes(row, "little") for e, row in rows.items()}
+    del rows
+    # the ears sharing an edge with ear i, ear i included: reduce(or_, ear_rows[i]);
+    # lists, not tuples: CPython keeps up to 2000 freed tuples of each short
+    # length on free lists, which grew the sweep's peak RSS call after call
+    ear_rows = [[on_edge[e] for e in ear.edge_list()] for ear in ears]
+    all_ears = (1 << len(ears)) - 1
 
-    def slot_bound(used: int) -> int:
-        # every ear occupies exactly two anchor slots: one edge at each
-        # path endpoint, or two cycle edges at the single anchor; an edge
-        # inside U fills a slot at both of its ends
-        free = ~used
-        return sum((m & free).bit_count() for m in anchor_masks) // 2
-
-    def greedy() -> list[int]:
-        picked: list[int] = []
-        acc = 0
-        for idx in range(len(masks)):
-            if masks[idx] & acc == 0:
-                picked.append(idx)
-                acc |= masks[idx]
-        return picked
-
-    best = greedy()
-    if target is not None and len(best) >= target:
+    # greedy: repeatedly take the lowest ear disjoint from those taken
+    best: list[int] = []
+    alive = all_ears
+    while alive:
+        i = (alive & -alive).bit_length() - 1
+        best.append(i)
+        alive &= ~reduce(or_, ear_rows[i])
+    best_k = len(best)
+    if target is not None and best_k >= target:
         return best, 0, False
 
+    # Depth-first over ears in index order.  ``chosen`` holds the ears on
+    # the current path.  Each node on it that passed its bounds keeps a
+    # frame [candidates not yet tried, slots]; a node whose bounds fail, or
+    # whose candidates run out, returns to its parent, which re-checks the
+    # slot bound before trying its next ear.
     nodes = 0
-
-    def search() -> bool:
-        """Depth-first over ears in index order; True aborts the whole
-        search: target met or node budget spent.
-
-        ``chosen`` holds the ears on the current path.  Each node on it that
-        passed its bounds keeps a frame [used edges, next ear to try]; a
-        node whose bounds fail, or whose ears run out, returns to its parent,
-        which re-checks the slot bound before trying its next ear.
-        """
-        nonlocal nodes, best
-        chosen: list[int] = []
-        stack: list[list[int]] = []
-        idx = used = 0
-        while True:
-            # visit a node: the ears in chosen, candidates from idx on
-            nodes += 1
-            if nodes > node_budget:
-                return True
-            if len(chosen) > len(best):
-                best = list(chosen)
-                if target is not None and len(best) >= target:
-                    return True
-            returned = True
-            if len(chosen) + slot_bound(used) > len(best):
-                remaining = sum(1 for m in masks[idx:] if not m & used)
-                if len(chosen) + remaining > len(best):
-                    stack.append([used, idx])
-                    returned = False
+    chosen: list[int] = []
+    stack: list[list[int]] = []
+    cand, slots = all_ears, sum(g.degree(v) for v in anchors)
+    while True:
+        # visit a node: the ears in chosen, then the ears in cand
+        nodes += 1
+        if nodes > node_budget:
+            return best, nodes, False
+        depth = len(chosen)
+        if depth > best_k:
+            best, best_k = list(chosen), depth
+            if target is not None and best_k >= target:
+                return best, nodes, False
+        if depth + slots // 2 > best_k and depth + cand.bit_count() > best_k:
+            frame = [cand, slots]
+            stack.append(frame)
+        else:
             # climb until a frame on the path has an ear left to try
-            while stack:
+            while True:
+                if not stack:
+                    return best, nodes, True
+                chosen.pop()
                 frame = stack[-1]
-                used = frame[0]
-                if returned:
-                    chosen.pop()
-                    if len(chosen) + slot_bound(used) <= len(best):
-                        stack.pop()
-                        continue
-                for i in range(frame[1], len(masks)):
-                    if not masks[i] & used:
-                        break
-                else:
-                    stack.pop()
-                    returned = True
-                    continue
-                frame[1] = i + 1
-                chosen.append(i)
-                idx, used = i + 1, used | masks[i]
-                break
-            else:
-                return False
-
-    stopped_early = search()
-    return best, nodes, not stopped_early
+                if frame[0] and len(chosen) + frame[1] // 2 > best_k:
+                    break
+                stack.pop()
+        cand = frame[0]
+        low = cand & -cand
+        frame[0] = cand ^ low
+        i = low.bit_length() - 1
+        chosen.append(i)
+        cand, slots = cand & ~reduce(or_, ear_rows[i]), frame[1] - cost[i]
 
 
 def _bipartite_flow_packing(g: Graph, u_set: frozenset[int], black: frozenset[int]) -> EarPacking:

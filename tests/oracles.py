@@ -8,13 +8,18 @@ vertex-bipartition scan deciding existence, since subset scanning alone
 cannot terminate on an infinite answer), ear packings by enumerating all
 ears and recursing over the ear list, and spaced matchings from a table of
 all pairwise distances.
+
+One entry is a copy, not a rederivation: ``pack_branch_and_bound_reference``
+is the odd-ear branch and bound before its bit-parallel rewrite, kept so
+that the rewrite can be checked node for node against it.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
 
-from earpack.graphs import INF, Graph
+from earpack.ears import Ear
+from earpack.graphs import INF, Graph, edge_key
 
 
 def brute_max_matching(g: Graph) -> int:
@@ -281,3 +286,111 @@ def encode_graph6_reference(g: Graph) -> bytes:
         bits += "0"
     body = bytes(int(bits[i : i + 6], 2) + 63 for i in range(0, len(bits), 6))
     return bytes([g.n + 63]) + body
+
+
+def pack_branch_and_bound_reference(
+    g: Graph, ears: tuple[Ear, ...], target: int | None, node_budget: int
+) -> tuple[list[int], int, bool]:
+    """Maximize the number of disjoint ears; returns (best, nodes, complete).
+
+    The branch and bound as it stood before the bit-parallel rewrite of
+    ``earpack.ears._pack_branch_and_bound``: the anchor-slot bound re-masks
+    every anchor and ``remaining`` rescans every later ear at each node.
+    The rewrite must visit the same search tree, so both return the same
+    triple on every input.
+    """
+    edge_bit = {e: i for i, e in enumerate(g.edges())}
+    masks = []
+    for ear in ears:
+        m = 0
+        for e in ear.edge_set():
+            m |= 1 << edge_bit[e]
+        masks.append(m)
+    u_set = set()
+    for ear in ears:
+        vs = ear.vertices
+        u_set.add(vs[0])
+        if ear.kind == "path":
+            u_set.add(vs[-1])
+    anchor_masks = []
+    for v in sorted(u_set):
+        m = 0
+        for w in g.adjacency[v]:
+            m |= 1 << edge_bit[edge_key(v, w)]
+        anchor_masks.append(m)
+
+    def slot_bound(used: int) -> int:
+        # every ear occupies exactly two anchor slots: one edge at each
+        # path endpoint, or two cycle edges at the single anchor; an edge
+        # inside U fills a slot at both of its ends
+        free = ~used
+        return sum((m & free).bit_count() for m in anchor_masks) // 2
+
+    def greedy() -> list[int]:
+        picked: list[int] = []
+        acc = 0
+        for idx in range(len(masks)):
+            if masks[idx] & acc == 0:
+                picked.append(idx)
+                acc |= masks[idx]
+        return picked
+
+    best = greedy()
+    if target is not None and len(best) >= target:
+        return best, 0, False
+
+    nodes = 0
+
+    def search() -> bool:
+        """Depth-first over ears in index order; True aborts the whole
+        search: target met or node budget spent.
+
+        ``chosen`` holds the ears on the current path.  Each node on it that
+        passed its bounds keeps a frame [used edges, next ear to try]; a
+        node whose bounds fail, or whose ears run out, returns to its parent,
+        which re-checks the slot bound before trying its next ear.
+        """
+        nonlocal nodes, best
+        chosen: list[int] = []
+        stack: list[list[int]] = []
+        idx = used = 0
+        while True:
+            # visit a node: the ears in chosen, candidates from idx on
+            nodes += 1
+            if nodes > node_budget:
+                return True
+            if len(chosen) > len(best):
+                best = list(chosen)
+                if target is not None and len(best) >= target:
+                    return True
+            returned = True
+            if len(chosen) + slot_bound(used) > len(best):
+                remaining = sum(1 for m in masks[idx:] if not m & used)
+                if len(chosen) + remaining > len(best):
+                    stack.append([used, idx])
+                    returned = False
+            # climb until a frame on the path has an ear left to try
+            while stack:
+                frame = stack[-1]
+                used = frame[0]
+                if returned:
+                    chosen.pop()
+                    if len(chosen) + slot_bound(used) <= len(best):
+                        stack.pop()
+                        continue
+                for i in range(frame[1], len(masks)):
+                    if not masks[i] & used:
+                        break
+                else:
+                    stack.pop()
+                    returned = True
+                    continue
+                frame[1] = i + 1
+                chosen.append(i)
+                idx, used = i + 1, used | masks[i]
+                break
+            else:
+                return False
+
+    stopped_early = search()
+    return best, nodes, not stopped_early

@@ -1,5 +1,6 @@
 import random
 import sys
+import time
 
 import pytest
 
@@ -7,21 +8,24 @@ from earpack.budget import SearchBudget
 from earpack.ears import (
     Ear,
     EarPacking,
+    _pack_branch_and_bound,
+    enumerate_odd_ears,
     max_odd_ear_packing,
     validate_ear,
     verify_packing,
 )
-from earpack.graphs import Graph
+from earpack.graphs import Graph, bipartition
 from earpack.matching import Matching
 from earpack.catalog import (
     cycle_graph,
     heawood_graph,
+    petersen_graph,
     random_bipartite_regular,
     tutte_coxeter_graph,
 )
 from earpack.harness import random_regular
 
-from oracles import brute_max_odd_ear_packing
+from oracles import brute_max_odd_ear_packing, pack_branch_and_bound_reference
 
 
 def k4():
@@ -143,6 +147,19 @@ class TestExactPacking:
             sys.setrecursionlimit(limit)
         assert (res.status, res.packing.k) == ("budget", 205)
 
+    def test_budgeted_search_on_a_large_host_stays_cheap(self):
+        # 50,000 nodes over 20,000 ears: each node costs a few big-int
+        # operations, so this returns in about a second (it took about two
+        # minutes while every node rescanned the ears and re-masked the
+        # anchors); the time bound leaves a wide margin for a slow machine
+        g = random_regular(3000, 3, seed=1)
+        u = random.Random(2).sample(range(3000), 1500)
+        budget = SearchBudget(max_ears=20_000, max_bb_nodes=50_000)
+        start = time.perf_counter()
+        res = max_odd_ear_packing(g, u, budget=budget)
+        assert time.perf_counter() - start < 30
+        assert (res.status, res.packing.k) == ("budget", 1564)
+
     def test_target_met_stops_early(self):
         h = heawood_graph()
         e = h.edges()[0]
@@ -207,3 +224,65 @@ class TestBipartitePacking:
         tc = tutte_coxeter_graph()
         m = Matching.of(tc, [tc.edges()[0]])
         assert max_odd_ear_packing(tc, m.covered).packing.k == 3
+
+
+UNLIMITED = 10**9
+
+
+class TestBranchAndBoundOracle:
+    """The bit-parallel search visits the same tree as the per-node rescan
+    it replaced: the same best ears, node count and completion flag for
+    every target and node budget."""
+
+    def _assert_same_tree(self, g: Graph, u: list[int]) -> int:
+        ears, _ = enumerate_odd_ears(g, u, cap=150)
+        opt = pack_branch_and_bound_reference(g, ears, None, UNLIMITED)[0]
+        calls = 0
+        # no target, reachable, unreachable
+        for target in (None, len(opt), len(opt) + 1):
+            for node_budget in (1, 7, 100, UNLIMITED):
+                expected = pack_branch_and_bound_reference(g, ears, target, node_budget)
+                got = _pack_branch_and_bound(g, ears, target, node_budget)
+                assert got == expected, (g.edges(), u, target, node_budget)
+                calls += 1
+        return calls
+
+    def test_random_regular_non_bipartite_hosts(self):
+        rng = random.Random(24)
+        checked = 0
+        for r, sizes in ((3, range(10, 31, 4)), (4, range(8, 23, 2)), (5, range(8, 17, 2))):
+            for n in sizes:
+                g = random_regular(n, r, seed=rng.randrange(2**31))
+                if bipartition(g) is not None:
+                    continue
+                u = rng.sample(range(n), rng.choice([2, 4]))
+                checked += self._assert_same_tree(g, u)
+        assert checked >= 150
+
+    def test_random_graphs_and_sets(self):
+        rng = random.Random(7)
+        checked = 0
+        while checked < 720:
+            n = rng.randrange(4, 10)
+            p = rng.uniform(0.25, 0.5)
+            g = Graph(n, [(a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < p])
+            u = rng.sample(range(g.n), rng.randrange(1, min(g.n, 5) + 1))
+            checked += self._assert_same_tree(g, u)
+
+
+class TestEnumerationCap:
+    def test_exactly_cap_ears_is_not_truncated(self):
+        # Petersen with U = {0, 1} has 21 odd ears
+        g = petersen_graph()
+        ears, truncated = enumerate_odd_ears(g, {0, 1})
+        assert (len(ears), truncated) == (21, False)
+        assert enumerate_odd_ears(g, {0, 1}, cap=21) == (ears, False)
+        capped, truncated = enumerate_odd_ears(g, {0, 1}, cap=20)
+        assert truncated and len(capped) == 20 and set(capped) < set(ears)
+
+    def test_exactly_cap_ears_packs_exactly(self):
+        g = petersen_graph()
+        res = max_odd_ear_packing(g, [0, 1], budget=SearchBudget(max_ears=21))
+        assert (res.status, res.packing.k) == ("exact", 3)
+        res = max_odd_ear_packing(g, [0, 1], budget=SearchBudget(max_ears=20))
+        assert res.status == "budget"
